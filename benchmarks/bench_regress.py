@@ -20,17 +20,14 @@ changes have a perf trajectory to compare against:
 * ``pinlock_opec_blockcompile`` — PinLock/OPEC/mpu with block
   compilation on: the superinstruction path through the monitor,
   SVC boundaries, and MemManage retries;
-* ``batch_throughput`` — N lanes of the throughput firmware
-  multiplexed through one process by the batch runner, sharing one
+* ``batch_throughput`` — N lanes of the throughput firmware run
+  through one process by the batch runner, sharing one
   image and one set of compiled block closures;
 * ``tracefuse_throughput`` / ``tracefuse_throughput_blocks`` — an
   ALU-heavy hot loop (the shape where fusing whole iterations under
   one batched cycle charge pays most) with loop-trace fusion on vs
   per-block execution, pinning the fused tier's speedup trajectory and
-  its bit-identity;
-* ``warm_compile`` — the same firmware cold (compiling every closure
-  and persisting it) then warm (every closure rehydrated from the
-  artifact store): the warm pass must recompile **nothing**.
+  its bit-identity.
 
 For each workload the report records host wall-clock seconds *and* the
 simulated quantities (``cycles``, instructions, ``MachineStats``).
@@ -212,52 +209,6 @@ def bench_tracefuse_throughput() -> tuple[dict, dict]:
     return fused, blocks
 
 
-def bench_warm_compile() -> dict:
-    """Cold vs warm codegen through the persistent closure cache.
-
-    Runs the same firmware twice against a private artifact store —
-    fresh module instances, so the warm pass models a fresh process —
-    and fails the harness if the warm pass compiled anything at all.
-    """
-    import os
-    import tempfile
-
-    from repro import cache
-
-    saved = os.environ.get("REPRO_CACHE")
-    with tempfile.TemporaryDirectory(prefix="repro-closures-") as tmp:
-        os.environ["REPRO_CACHE"] = tmp
-        cache.reset_store_state()
-        try:
-            cold = _run_module(_alu_module(), block_compile=True,
-                               trace_fuse=True)
-            warm = _run_module(_alu_module(), block_compile=True,
-                               trace_fuse=True)
-        finally:
-            if saved is None:
-                del os.environ["REPRO_CACHE"]
-            else:
-                os.environ["REPRO_CACHE"] = saved
-            cache.reset_store_state()
-    _check_identical("warm_compile", warm, cold)
-    warm_counters = warm["compile_metrics"]
-    for counter in ("blockcompile.blocks_compiled",
-                    "tracefuse.traces_compiled",
-                    "tracefuse.trace_rejects"):
-        if warm_counters[counter] != 0:
-            raise SystemExit(
-                f"warm_compile: warm run performed codegen "
-                f"({counter}={warm_counters[counter]})")
-    if warm_counters["closurecache.blocks_loaded"] == 0:
-        raise SystemExit("warm_compile: warm run loaded no closures")
-    return {
-        "cold_wall_s": cold["wall_clock_s"],
-        "warm_wall_s": warm["wall_clock_s"],
-        "cold_compile_metrics": cold["compile_metrics"],
-        "warm_compile_metrics": warm_counters,
-    }
-
-
 def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else REPO / "BENCH_interp.json"
     throughput, throughput_singlestep = bench_vanilla_throughput()
@@ -274,7 +225,6 @@ def main() -> int:
             "vanilla_throughput_singlestep": throughput_singlestep,
             "tracefuse_throughput": tracefuse,
             "tracefuse_throughput_blocks": tracefuse_blocks,
-            "warm_compile": bench_warm_compile(),
             "pinlock_opec": pinlock_mpu,
             "pinlock_opec_pmp": bench_pinlock_opec("pmp"),
             "pinlock_opec_overlay": bench_pinlock_opec("overlay"),

@@ -143,22 +143,6 @@ def run_digest(
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def closures_digest(module: Module) -> str:
-    """Content key for a module's compiled-closure bundle.
-
-    Marshalled code objects are CPython-version-specific, so the
-    implementation cache tag and marshal format version join the
-    module digest; pipeline changes are covered by the store's
-    fingerprint-versioned directory.
-    """
-    import marshal
-    import sys
-
-    text = (f"closures\0{module_digest(module)}\0"
-            f"{sys.implementation.cache_tag}\0marshal={marshal.version}")
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def trace_digest(
     build_key: str,
     app_name: str,

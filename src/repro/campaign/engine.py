@@ -15,8 +15,8 @@ index order, and each finished :class:`FirmwareReport` is itself
 persisted in the artifact store, so re-running a campaign with a warm
 store replays no simulation at all.  Either way the merged
 :class:`CampaignResult` — and the report rendered from it — is
-byte-identical: same seed, same bytes, regardless of job count, lane
-interleaving, cache temperature, or ``PYTHONHASHSEED``.
+byte-identical: same seed, same bytes, regardless of job count, cache
+temperature, or ``PYTHONHASHSEED``.
 
 Outcome classification per attack lane:
 
@@ -33,6 +33,7 @@ Outcome classification per attack lane:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -329,6 +330,12 @@ def _firmware_worker(
         envelope = fleet.end_capture(
             token,
             host_events=recorder.events() if recorder is not None else ())
+    # The firmware's retired machines sit in reference cycles (each
+    # attached device points back at its machine, and a failed lane's
+    # traceback frames hold the lane), so only a full collection frees
+    # them.  Collect here rather than let a whole corpus of dead lanes
+    # pile up until the collector happens to run.
+    gc.collect()
     return report, envelope
 
 
@@ -345,9 +352,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         workers = min(jobs, len(indices))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Contiguous chunks (not one task per firmware) keep each
-            # worker on one long-lived slice: the per-process build
-            # memos and the warm closure cache amortise across the
-            # chunk instead of being re-proven per pickled task.
+            # worker on one long-lived slice, so the per-process build
+            # memos amortise across the chunk instead of being
+            # re-proven per pickled task.
             pairs = list(pool.map(
                 _firmware_worker,
                 [(config, index) for index in indices],

@@ -17,9 +17,9 @@ Usage (``python -m repro.cli <command>``):
   (counters + cycle histograms);
 * ``cache stats|clear|verify|fingerprint`` — inspect or maintain the
   content-addressed artifact cache (see ``REPRO_CACHE``);
-* ``bench batch APP [--lanes N]`` — multiplex N copies of a build
-  through one process via the batch runner (lane count defaults to
-  ``REPRO_BATCH``) and report per-lane results plus throughput;
+* ``bench batch APP [--lanes N]`` — run N copies of a build through
+  one process via the batch runner (8 lanes by default) and report
+  per-lane results plus throughput;
 * ``campaign [--seed N] [--firmwares N] [--attacks ...]`` — run a
   differential security campaign over a seeded random-firmware corpus
   and print the containment / over-privilege / switch-cost report;
@@ -239,10 +239,10 @@ def _cmd_bench(args) -> int:
     import time
 
     from .eval.workloads import build_app, opec_artifacts
-    from .interp.batch import BatchRunner, batch_lanes
+    from .interp.batch import DEFAULT_LANES, BatchRunner
     from .pipeline import build_vanilla
 
-    lanes = args.lanes if args.lanes is not None else batch_lanes()
+    lanes = args.lanes if args.lanes is not None else DEFAULT_LANES
     app = build_app(args.app, profile=args.profile)
     if args.build == "opec":
         image = opec_artifacts(args.app, profile=args.profile).image
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--build", default="opec",
                        choices=["vanilla", "opec"])
     bench.add_argument("--lanes", type=int, default=None,
-                       help="lane count (default: REPRO_BATCH or 8)")
+                       help="lane count (default: 8)")
     bench.add_argument("--profile", default="quick",
                        choices=["quick", "paper"])
     bench.add_argument("--backend", default=None, choices=BACKEND_CHOICES,

@@ -9,12 +9,15 @@ Run any generator directly::
     python -m repro.eval.figure11
     python -m repro.eval.table3
 
-or everything at once: ``python -m repro.eval.report_all``.
+or everything at once: ``python -m repro.eval.report_all``; write
+every results file with ``python -m repro.eval.export [dir]``.
 Set ``REPRO_PROFILE=quick`` to downscale the workloads.
+
+``export`` and ``report_all`` are entry-point modules and are not
+imported here, so ``python -m`` runs them without a double import.
 """
 
 from . import (
-    export,
     figure9,
     figure10,
     figure11,
@@ -37,7 +40,7 @@ from .workloads import (
 )
 
 __all__ = [
-    "export", "figure9", "figure10", "figure11", "metrics", "profiler",
+    "figure9", "figure10", "figure11", "metrics", "profiler",
     "report", "table1", "table2", "table3",
     "CycleProfiler", "Profile", "profile_image",
     "TaskTrace", "TaskTracer", "trace_tasks",

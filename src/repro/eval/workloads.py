@@ -185,81 +185,13 @@ def run_build(name: str, kind: str, profile: Optional[str] = None,
 
 
 def _run_kinds(name: str) -> tuple[str, ...]:
-    """Build flavours the §6 row computations simulate for one app,
-    in the order the computations request them."""
+    """Build flavours the §6 row computations simulate for one app."""
     from ..baselines.aces.compartments import ALL_STRATEGIES
 
     kinds: tuple[str, ...] = ("vanilla", "opec")
     if name in ACES_APPS:
         kinds += tuple(ALL_STRATEGIES)
     return kinds
-
-
-def _prefetch_runs(name: str, profile: str, backend: str) -> None:
-    """Simulate every cache-cold build flavour of one app as one batch.
-
-    ``_compute_app_rows`` needs the same (vanilla, opec[, ACES]) runs
-    several times across its tables and figures; :func:`run_build`
-    memoises them, but serially the flavours still execute one after
-    another.  Staging the flavours that neither the memo nor the
-    artifact store can serve as lanes of a single
-    :class:`~repro.interp.batch.BatchRunner` interleaves them at block
-    granularity inside this worker — one warm-up, shared compiled
-    closures across flavours of the same module — while lane isolation
-    keeps each result bit-identical to the solo ``run_build`` it
-    stands in for (same memo key, same store digest, same
-    ``verify_run`` checks).  A lane failure re-raises exactly what the
-    serial path would have raised, in the serial request order.
-    """
-    from ..interp.batch import BatchRunner, LaneFailure
-
-    app = build_app(name, profile)
-    store = cache.active_store()
-    runner = None
-    staged = []
-    for kind in _run_kinds(name):
-        key = (name, kind, profile, backend)
-        if key in _run_cache:
-            continue
-        digest = ""
-        if store is not None:
-            digest = _run_digest(app, name, kind, profile, backend)
-            cached = store.get(digest)
-            if cached is not None:
-                app.verify_run(cached.machine, cached.halt_code)
-                _run_cache[key] = cached
-                continue
-        if kind == "vanilla":
-            image = build_vanilla(app.module, app.board)
-        elif kind == "opec":
-            image = opec_artifacts(name, profile).image
-        else:
-            image = aces_artifacts(name, kind, profile).image
-        if runner is None:
-            runner = BatchRunner()
-        lane = runner.add(image, name=f"{name}:{kind}", setup=app.setup,
-                          max_instructions=app.max_instructions,
-                          backend=backend)
-        staged.append((key, digest, lane))
-    if runner is None:
-        return
-    fleet.record_simulation(
-        compile_metrics=runner.run().compile_metrics)
-    for key, digest, lane in staged:
-        if lane.error is not None:
-            if isinstance(lane.error, LaneFailure):
-                raise lane.error.original
-            raise lane.error
-        result = RunResult(
-            halt_code=lane.halt_code, cycles=lane.machine.cycles,
-            machine=lane.machine, interpreter=lane.interpreter,
-            hooks=lane.hooks,
-        )
-        fleet.record_simulation(result.machine.metrics)
-        app.verify_run(result.machine, result.halt_code)
-        if store is not None:
-            store.put(digest, result)
-        _run_cache[key] = result
 
 
 def _compute_app_rows(name: str, backend: Optional[str] = None) -> dict:
@@ -270,7 +202,6 @@ def _compute_app_rows(name: str, backend: Optional[str] = None) -> dict:
     dataclasses of primitives, so they cross a process boundary."""
     from . import figure9, figure10, figure11, table1, table2, table3
 
-    _prefetch_runs(name, active_profile(), backend or active_backend())
     rows: dict = {
         "table1": table1.compute_row(name),
         "figure9": figure9.compute_row(name, backend=backend),

@@ -11,7 +11,7 @@ from .costs import (
     SWITCH_BASE_COST,
     SYNC_WORD_COST,
 )
-from .batch import BatchLane, BatchResult, BatchRunner, batch_lanes
+from .batch import BatchLane, BatchResult, BatchRunner
 from .blockcompile import (
     BLOCKCOMPILE_OFF_VALUES,
     BLOCKCOMPILE_ON_VALUES,
@@ -37,6 +37,6 @@ __all__ = [
     "block_compile_enabled", "compile_block",
     "DEFAULT_TRACE_THRESHOLD", "TRACEFUSE_OFF_VALUES", "TRACEFUSE_ON_VALUES",
     "compile_trace", "trace_fuse_enabled", "trace_threshold",
-    "BatchLane", "BatchResult", "BatchRunner", "batch_lanes",
+    "BatchLane", "BatchResult", "BatchRunner",
     "RuntimeHooks", "ExecutionLimitExceeded", "Frame", "Interpreter",
 ]

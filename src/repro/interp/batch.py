@@ -13,11 +13,11 @@ pays them once:
   (``block._compiled``) and are image- and machine-independent by
   construction, so lane 0's compilation warms every other lane.
 
-* **Block-granular round-robin.**  Each scheduling quantum is one
-  compiled-block entry (or one reference step on fallback paths) via
-  :meth:`~repro.interp.interpreter.Interpreter.advance`.  Lanes are
-  fully isolated — separate machines, monitors, recorders — so the
-  interleaving cannot change any lane's simulated outcome; a batched
+* **Run to completion, lane by lane.**  :meth:`BatchRunner.run`
+  drives each lane with
+  :meth:`~repro.interp.interpreter.Interpreter.resume` until it halts
+  or faults, in the order the lanes were added.  Lanes are fully
+  isolated — separate machines, monitors, recorders — so a batched
   lane's cycles, stats, and halt code are bit-identical to a solo run.
 
 * **Fault isolation.**  A lane that dies — on a terminal
@@ -28,14 +28,10 @@ pays them once:
   :class:`LaneFailure` (carrying the lane name and the original
   exception as ``__cause__``) so a campaign-scale sweep never loses
   N-1 finished lanes to one buggy stimulus.
-
-``REPRO_BATCH`` supplies a default lane count for harnesses
-(``repro bench batch``); like the other knobs it validates loudly.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -65,29 +61,6 @@ class LaneFailure(MachineError):
         self.__cause__ = original
 
 
-def batch_lanes(default: int = DEFAULT_LANES) -> int:
-    """Lane count requested via ``REPRO_BATCH`` (default ``default``).
-
-    Misspellings raise instead of silently running a different sweep
-    width under a benchmark — and a non-numeric value reports itself
-    as such instead of masquerading as a lane-count range error.
-    """
-    raw = os.environ.get("REPRO_BATCH", "").strip()
-    if raw == "":
-        return default
-    try:
-        lanes = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH={raw!r} is not an integer"
-        ) from None
-    if lanes < 1:
-        raise ValueError(
-            f"REPRO_BATCH={raw!r} is not a positive lane count"
-        )
-    return lanes
-
-
 @dataclass
 class BatchLane:
     """One simulated machine in the fleet."""
@@ -98,7 +71,6 @@ class BatchLane:
     hooks: RuntimeHooks
     halt_code: Optional[int] = None
     error: Optional[MachineError] = None
-    quanta: int = 0
 
     @property
     def finished(self) -> bool:
@@ -124,7 +96,7 @@ class BatchResult:
 
 
 class BatchRunner:
-    """Round-robin executor for a fleet of simulated machines.
+    """Executor for a fleet of simulated machines.
 
     Usage::
 
@@ -179,25 +151,14 @@ class BatchRunner:
         return lane
 
     def run(self) -> BatchResult:
-        """Drive every lane to halt (or terminal fault), round-robin."""
-        active = list(self.lanes)
-        while active:
-            still = []
-            for lane in active:
-                try:
-                    running = lane.interpreter.advance()
-                except MachineError as error:
-                    lane.error = error
-                    continue
-                except Exception as error:  # noqa: BLE001 — isolation
-                    lane.error = LaneFailure(lane.name, error)
-                    continue
-                lane.quanta += 1
-                if running:
-                    still.append(lane)
-                else:
-                    lane.halt_code = lane.interpreter.halt_code
-            active = still
+        """Drive every lane to halt (or terminal fault), one by one."""
+        for lane in self.lanes:
+            try:
+                lane.halt_code = lane.interpreter.resume()
+            except MachineError as error:
+                lane.error = error
+            except Exception as error:  # noqa: BLE001 — isolation
+                lane.error = LaneFailure(lane.name, error)
         result = BatchResult(lanes=list(self.lanes))
         for lane in self.lanes:
             result.compile_metrics.merge(lane.interpreter.compile_metrics)
@@ -210,5 +171,4 @@ __all__ = [
     "BatchResult",
     "BatchRunner",
     "LaneFailure",
-    "batch_lanes",
 ]

@@ -77,11 +77,6 @@ from ..obs.events import (
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import attach_crash_context
 from .blockcompile import block_compile_enabled, compile_block
-from .closurecache import (
-    note_compiled as _cache_note_compiled,
-    preload as _cache_preload,
-    save as _cache_save,
-)
 from .costs import DEFAULT_COST, DIV_COST, INSTRUCTION_COSTS
 from .hooks import RuntimeHooks
 from .tracefuse import compile_trace, trace_fuse_enabled, trace_threshold
@@ -176,20 +171,6 @@ class Interpreter:
             "tracefuse.trace_rejects")
         self._n_trace_entries = self.compile_metrics.counter(
             "tracefuse.trace_entries")
-        self._n_cache_blocks_loaded = self.compile_metrics.counter(
-            "closurecache.blocks_loaded")
-        self._n_cache_traces_loaded = self.compile_metrics.counter(
-            "closurecache.traces_loaded")
-        self._n_cache_saves = self.compile_metrics.counter(
-            "closurecache.saves")
-        if self.block_compile:
-            # Warm-start from the artifact store: cached closures land
-            # on the shared IR blocks, so the first interpreter of a
-            # module pays the (pickle) load and every later one — and
-            # every batch lane — starts warm for free.
-            loaded_blocks, loaded_traces = _cache_preload(image.module)
-            self._n_cache_blocks_loaded.value += loaded_blocks
-            self._n_cache_traces_loaded.value += loaded_traces
         # Optional function-granularity trace (GDB single-step stand-in,
         # §6.4): the evaluation harness records executed functions per task.
         self.on_function_enter: Optional[Callable[[Function], None]] = None
@@ -199,8 +180,7 @@ class Interpreter:
 
     def run(self, entry: str = "main", args: tuple[int, ...] = ()) -> int:
         """Reset the system, run ``entry``, return the halt code."""
-        self.hooks.on_reset(self)
-        self.call_function(self.image.module.get_function(entry), list(args))
+        self.start(entry, args)
         return self.resume()
 
     def resume(self) -> int:
@@ -225,86 +205,20 @@ class Interpreter:
     def start(self, entry: str = "main", args: tuple[int, ...] = ()) -> None:
         """Reset and stage ``entry`` without executing anything.
 
-        Incremental counterpart of :meth:`run` for callers that drive
-        execution themselves via :meth:`advance` (the batch runner).
+        :meth:`run` is ``start`` followed by :meth:`resume`; the batch
+        runner stages every lane first and resumes them one by one.
         """
         self.hooks.on_reset(self)
         self.call_function(self.image.module.get_function(entry), list(args))
 
-    def advance(self) -> bool:
-        """Execute one scheduling quantum; ``False`` once halted.
-
-        A quantum is one compiled-block entry — or one reference
-        ``step()`` on the fallback paths (pending IRQ boundary, IRQ
-        window, uncompilable block, block compilation disabled) — so
-        the batch runner round-robins lanes at block granularity.
-        Halt handling matches :meth:`resume` exactly; terminal faults
-        propagate with crash context attached.
-        """
-        machine = self.machine
-        if not self.frames:
-            if self.halt_code is None:
-                self._finish_halt(0, "main-return")
-            return False
-        try:
-            if (self.block_compile and not machine.pending_irqs
-                    and self._irq_depth == 0):
-                frame = self.frames[-1]
-                block = frame.block
-                entered_trace = False
-                if (self.trace_fuse and frame.index == 0
-                        and not machine._systick_armed):
-                    try:
-                        tr = block._trace
-                    except AttributeError:
-                        tr = block._trace = 0
-                    if tr is not None:
-                        if tr.__class__ is int:
-                            tr += 1
-                            if tr >= self._trace_threshold:
-                                tr = self._compile_trace(block)
-                            else:
-                                block._trace = tr
-                                tr = None
-                        if tr is not None and tr(self, frame, machine):
-                            self._n_trace_entries.value += 1
-                            entered_trace = True
-                if not entered_trace:
-                    try:
-                        fn = block._compiled
-                    except AttributeError:
-                        fn = self._compile(block)
-                    if fn is None:
-                        self._n_fallback_steps.value += 1
-                        self.step()
-                    else:
-                        self._n_block_entries.value += 1
-                        fn(self, frame, machine, frame.index)
-            else:
-                if self.block_compile:
-                    self._n_fallback_steps.value += 1
-                self.step()
-        except MachineHalt as halt:
-            self._finish_halt(halt.code, f"halt({halt.code})")
-            return False
-        except MachineError as error:
-            attach_crash_context(error, machine.recorder, machine.cycles)
-            raise
-        if not self.frames:
-            self._finish_halt(0, "main-return")
-            return False
-        return True
-
     def _finish_halt(self, code: int, label: str) -> int:
-        """Record the halt event and code (shared by all run modes)."""
+        """Record the halt event and code."""
         self.halt_code = code
         machine = self.machine
         recorder = machine.recorder
         if recorder is not None:
             recorder.instant(EV_HALT, label, machine.cycles,
                              args={"code": code})
-        if self.block_compile and _cache_save(self.image.module):
-            self._n_cache_saves.value += 1
         return code
 
     def _run_compiled(self) -> None:
@@ -382,7 +296,6 @@ class Interpreter:
             self._n_compile_errors.value += 1
         else:
             self._n_blocks_compiled.value += 1
-        _cache_note_compiled(self.image.module)
         return fn
 
     def _compile_trace(self, block: BasicBlock):
@@ -392,7 +305,6 @@ class Interpreter:
             self._n_trace_rejects.value += 1
         else:
             self._n_traces_compiled.value += 1
-        _cache_note_compiled(self.image.module)
         return fn
 
     def call_function(self, func: Function, args: list[int],

@@ -92,7 +92,7 @@ def trace_threshold() -> int:
     """Hot threshold from ``REPRO_TRACEFUSE_THRESHOLD`` (default 8).
 
     Validated loudly, distinguishing "not an integer" from a value
-    that *is* an integer but out of range — the ``REPRO_BATCH`` rule.
+    that *is* an integer but out of range.
     """
     raw = os.environ.get("REPRO_TRACEFUSE_THRESHOLD", "").strip()
     if not raw:

@@ -307,8 +307,9 @@ def _fleet_eval_worker(
     """Pool entry point: simulate one worker's slice of the lane grid.
 
     Every lane simulates *fresh* under a dedicated recorder (a cached
-    RunResult carries no event stream), staged as batch-runner lanes so
-    flavours of the same module share compiled closures; builds are
+    RunResult carries no event stream).  The lanes run one after
+    another on a batch runner, which isolates a failing lane and lets
+    lanes of the same image reuse its compiled blocks; builds are
     served by the artifact store as usual.  The sim-domain outcome of a
     lane is therefore cache-temperature- and worker-count-independent.
     """

@@ -45,7 +45,7 @@ from ..obs.events import (
 from ..partition.operations import Operation
 from .context import SwitchContext
 from .stack import StackProtector
-from .sync import DataSynchronizer, SwitchPlan
+from .sync import DataSynchronizer
 
 
 class OpecMonitor(RuntimeHooks):
@@ -70,13 +70,8 @@ class OpecMonitor(RuntimeHooks):
         # operation; a compiling build hoists the slot load, so the
         # per-access cost is paid once per (operation, variable).
         self._addr_cache: dict[GlobalVariable, int] = {}
-        # Switch phases (sanitise/sync/reloc/redirect) resolve only
-        # policy- and layout-level data, all fixed once the image is
-        # linked — so each operation's sequence is compiled to a
-        # SwitchPlan on first use, with the backend's base switch cost
-        # folded in.  Region sets are likewise pure in (operation,
-        # stack mask): memoised, with a fresh list per load.
-        self._plans: dict[int, SwitchPlan] = {}
+        # Region sets are pure in (operation, stack mask): memoised,
+        # with a fresh list per load.
         self._region_sets: dict[tuple[int, int], list[MPURegion]] = {}
 
     @property
@@ -139,61 +134,8 @@ class OpecMonitor(RuntimeHooks):
         operation = self.image.operation_for_entry(callee)
         return operation is not None and not operation.is_default
 
-    def _plan(self, operation: Operation) -> SwitchPlan:
-        plan = self._plans.get(operation.index)
-        if plan is None:
-            plan = self.sync.compile_plan(
-                operation, self.machine.enforcement.switch_base_cost)
-            self._plans[operation.index] = plan
-        return plan
-
     def before_call(self, interp, callee: Function,
                     args: list[int]) -> list[int]:
-        machine = self.machine
-        if machine.recorder is not None or machine._systick_armed:
-            # Span recording samples the cycle counter between phases,
-            # and an armed SysTick makes the fire point depend on when
-            # each charge lands — both need the interpreted sequence.
-            return self._before_call_traced(interp, callee, args)
-        target = self.image.operation_for_entry(callee)
-        assert target is not None
-        start_cycles = machine.cycles
-        cur_plan = self._plan(self.current)
-        tgt_plan = self._plan(target)
-        machine.consume(tgt_plan.switch_base_cost)
-        self._n_switches.value += 1
-        self._addr_cache.clear()
-
-        sync = self.sync
-        sync.run_sanitize(cur_plan)
-        sync.run_copies(cur_plan.writeback, cur_plan.sync_words,
-                        cur_plan.sync_bytes)
-        sync.run_copies(tgt_plan.refresh, tgt_plan.sync_words,
-                        tgt_plan.sync_bytes)
-        sync.run_reloc(tgt_plan)
-        sync.run_redirect(tgt_plan)
-
-        new_args, new_sp, relocations = self.stack.relocate_arguments(
-            target, args, interp.sp
-        )
-        context = SwitchContext(
-            previous=self.current,
-            saved_sp=interp.sp,
-            saved_stack_mask=self.current_stack_mask,
-            relocations=relocations,
-        )
-        self.context_stack.append(context)
-        interp.sp = new_sp
-
-        boundary = self.stack.boundary_below(context.saved_sp)
-        self.current_stack_mask = self.stack.mask_for(boundary)
-        self.current = target
-        self._load_mpu(target, self.current_stack_mask)
-        self._h_switch.observe(machine.cycles - start_cycles)
-        return new_args
-
-    def _before_call_traced(self, interp, callee: Function,
-                            args: list[int]) -> list[int]:
         target = self.image.operation_for_entry(callee)
         assert target is not None
         machine = self.machine
@@ -253,39 +195,6 @@ class OpecMonitor(RuntimeHooks):
         return new_args
 
     def after_return(self, interp, callee: Function) -> None:
-        machine = self.machine
-        if machine.recorder is not None or machine._systick_armed:
-            return self._after_return_traced(interp, callee)
-        if not self.context_stack:
-            raise SecurityAbort("operation exit without matching entry")
-        context = self.context_stack.pop()
-        start_cycles = machine.cycles
-        previous = context.previous
-        cur_plan = self._plan(self.current)
-        prev_plan = self._plan(previous)
-        machine.consume(cur_plan.switch_base_cost)
-        self._addr_cache.clear()
-
-        sync = self.sync
-        sync.run_sanitize(cur_plan)
-        sync.run_copies(cur_plan.writeback, cur_plan.sync_words,
-                        cur_plan.sync_bytes)
-        sync.run_copies(prev_plan.refresh, prev_plan.sync_words,
-                        prev_plan.sync_bytes)
-        sync.run_reloc(prev_plan)
-        sync.run_redirect(prev_plan)
-
-        self.stack.copy_back(context.relocations)
-        interp.sp = context.saved_sp
-        self.current = previous
-        self.current_stack_mask = context.saved_stack_mask
-        self._load_mpu(previous, self.current_stack_mask)
-        # General-purpose registers are cleared on exit (frame registers
-        # are dropped with the frame; charge the zeroing cost).
-        machine.consume(13)
-        self._h_switch.observe(machine.cycles - start_cycles)
-
-    def _after_return_traced(self, interp, callee: Function) -> None:
         if not self.context_stack:
             raise SecurityAbort("operation exit without matching entry")
         context = self.context_stack.pop()

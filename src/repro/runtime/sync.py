@@ -21,40 +21,6 @@ from ..ir.values import GlobalVariable
 from ..partition.operations import Operation
 
 
-class SwitchPlan:
-    """Precompiled switch-phase work for one operation (§5.2–§5.3).
-
-    Every policy and layout lookup the monitor's switch path performs
-    is resolved once, the first time an operation participates in a
-    switch: sanitisation checks, shadow↔public copy pairs, relocation-
-    table slot values, pointer-field addresses, and the backend's base
-    switch cost.  The executing side charges each phase's cycle cost in
-    one batch, which is observationally identical to per-item charging
-    as long as nothing samples the cycle counter mid-phase — the
-    monitor therefore only takes the planned path when no recorder is
-    attached and the SysTick timer is unarmed.
-    """
-
-    __slots__ = (
-        "op_index", "op_name", "switch_base_cost", "sanitize_checks",
-        "writeback", "refresh", "sync_words", "sync_bytes",
-        "reloc_writes", "redirect_fields", "own_shadows",
-    )
-
-    def __init__(self, op_index: int, op_name: str, switch_base_cost: int):
-        self.op_index = op_index
-        self.op_name = op_name
-        self.switch_base_cost = switch_base_cost
-        self.sanitize_checks: list[tuple[int, int, int, int, str]] = []
-        self.writeback: list[tuple[int, int, int]] = []
-        self.refresh: list[tuple[int, int, int]] = []
-        self.sync_words = 0
-        self.sync_bytes = 0
-        self.reloc_writes: list[tuple[int, int]] = []
-        self.redirect_fields: list[int] = []
-        self.own_shadows: dict[GlobalVariable, int] = {}
-
-
 class DataSynchronizer:
     """Performs the Figure-7 data movement for one image."""
 
@@ -178,96 +144,3 @@ class DataSynchronizer:
         if key in self.image.shadow_addresses:
             return self.image.shadow_addresses[key]
         return self.image.global_address(gvar)
-
-    # -- precompiled switch phases -----------------------------------------
-
-    def compile_plan(self, operation: Operation,
-                     switch_base_cost: int) -> SwitchPlan:
-        """Resolve every lookup of ``operation``'s switch phases.
-
-        Item order matches the interpreted phases exactly so the memory
-        write sequence — and therefore the final image — is identical.
-        """
-        image = self.image
-        plan = SwitchPlan(operation.index, operation.name, switch_base_cost)
-        externals = list(self.policy.external_vars(operation))
-        for gvar in externals:
-            shadow = image.shadow_address(operation, gvar)
-            if gvar.sanitize_range is not None and gvar.size <= 4:
-                lo, hi = gvar.sanitize_range
-                plan.sanitize_checks.append(
-                    (shadow, gvar.size, lo, hi, gvar.name))
-            public = image.public_addresses[gvar]
-            plan.writeback.append((shadow, public, gvar.size))
-            plan.refresh.append((public, shadow, gvar.size))
-            plan.sync_words += (gvar.size + 3) // 4
-            plan.sync_bytes += gvar.size
-            plan.own_shadows[gvar] = shadow
-        accessible = set(externals)
-        for gvar, slot in image.reloc_slots.items():
-            if gvar in accessible:
-                target = image.shadow_address(operation, gvar)
-            else:
-                target = image.public_addresses[gvar]
-            plan.reloc_writes.append((slot, target))
-        for gvar in self.policy.section_vars(operation):
-            if not gvar.pointer_field_offsets:
-                continue
-            base = self._home_address(operation, gvar)
-            for offset in gvar.pointer_field_offsets:
-                plan.redirect_fields.append(base + offset)
-        return plan
-
-    def run_sanitize(self, plan: SwitchPlan) -> None:
-        """Planned :meth:`sanitize_operation` — per-check charging is
-        kept because an abort must leave the cycle counter exactly
-        where the interpreted path would."""
-        machine = self.machine
-        for shadow, size, lo, hi, name in plan.sanitize_checks:
-            value = machine.read_direct(shadow, size)
-            machine.consume(SANITIZE_CHECK_COST)
-            if not lo <= value <= hi:
-                raise SecurityAbort(
-                    f"sanitisation failed for @{name} in operation "
-                    f"{plan.op_name}: value {value} outside [{lo}, {hi}]"
-                )
-
-    def run_copies(self, pairs: list[tuple[int, int, int]],
-                   words: int, nbytes: int) -> None:
-        """Planned :meth:`write_back`/:meth:`refresh` with one batched
-        cycle charge and counter bump."""
-        machine = self.machine
-        read, write = machine.read_bytes, machine.write_bytes
-        for src, dst, size in pairs:
-            write(dst, read(src, size))
-        self._bytes_copied.value += nbytes
-        machine.consume(SYNC_WORD_COST * words)
-
-    def run_reloc(self, plan: SwitchPlan) -> None:
-        """Planned :meth:`update_relocation_table` — slot targets were
-        resolved at plan-compile time."""
-        machine = self.machine
-        for slot, target in plan.reloc_writes:
-            machine.write_direct(slot, 4, target)
-        machine.consume(len(plan.reloc_writes))
-
-    def run_redirect(self, plan: SwitchPlan) -> None:
-        """Planned :meth:`redirect_pointers`; pointer values are
-        runtime data, so only the field walk is precompiled."""
-        machine = self.machine
-        cost = 2 * len(plan.redirect_fields)
-        own = plan.own_shadows
-        op_index = plan.op_index
-        locate = self._locate
-        for addr in plan.redirect_fields:
-            located = locate(machine.read_direct(addr, 4))
-            if located is None:
-                continue
-            target_op, target_var, delta = located
-            if target_op == op_index:
-                continue
-            target = own.get(target_var)
-            if target is not None:
-                machine.write_direct(addr, 4, target + delta)
-                cost += 1
-        machine.consume(cost)

@@ -4,8 +4,10 @@ hash seeds."""
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
+import weakref
 import sys
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.attacks import attack_setup
-from repro.campaign.engine import evaluate_firmware
+from repro.campaign.engine import _firmware_worker, evaluate_firmware
 from repro.campaign.generator import INSTRUCTION_BUDGET
 from repro.interp.batch import BatchRunner
 from repro.pipeline import build_opec, build_vanilla
@@ -87,6 +89,36 @@ def test_evaluate_firmware_report_shape():
         if flavour in ("opec", "aces"):
             assert outcome.switches > 0
             assert outcome.switch_cycles > 0
+
+
+def test_firmware_worker_frees_its_machines(monkeypatch):
+    """Every machine a firmware's lanes created is dead once the worker
+    returns, without waiting for the cyclic collector to run on its
+    own: retired machines sit in reference cycles (device back-links,
+    a blocked lane's traceback), so the worker must collect them."""
+    import repro.pipeline
+
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    refs = []
+    original = repro.pipeline.prepare_machine
+
+    def tracked(*args, **kwargs):
+        machine = original(*args, **kwargs)
+        refs.append(weakref.ref(machine))
+        return machine
+
+    monkeypatch.setattr(repro.pipeline, "prepare_machine", tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report, _envelope = _firmware_worker((SMALL, 0))
+        assert any(cell.outcome == "blocked"
+                   for cell in report.cells.values())
+        assert refs
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_report_verdicts_pass():

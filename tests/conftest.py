@@ -29,14 +29,6 @@ def session_cache_dir(tmp_path_factory):
     yield os.environ["REPRO_CACHE"]
 
 
-@pytest.fixture
-def no_artifact_store(monkeypatch):
-    """Disable the persistent store for tests that assert cold-compile
-    counters — the closure cache would otherwise satisfy them warmly
-    from a bundle some earlier test (or CI run) saved."""
-    monkeypatch.setenv("REPRO_CACHE", "off")
-
-
 def build_mini_module(*, shared_value: int = 7) -> ir.Module:
     """Two tasks sharing a counter; task_a owns a secret, task_b a blob.
 

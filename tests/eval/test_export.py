@@ -1,6 +1,25 @@
 """Tests for the results exporter."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.eval.export import export_all
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def test_package_import_leaves_export_unloaded():
+    """``python -m repro.eval.export`` imports the package first; if the
+    package had already imported ``export``, runpy would warn that the
+    module is executed twice."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys, repro.eval; "
+             "print('repro.eval.export' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_export_writes_text_and_tsv(tmp_path):

@@ -2,18 +2,15 @@
 
 The batch contract: lanes are fully isolated (a batched lane's
 simulated outcome is bit-identical to a solo run of the same image),
-compiled block closures warm across lanes through the shared IR, one
-lane's terminal fault never disturbs the fleet, and ``REPRO_BATCH``
-validates loudly.
+compiled block closures warm across lanes through the shared IR, and
+one lane's terminal fault never disturbs the fleet.
 """
-
-import pytest
 
 import repro.ir as ir
 from repro.hw import Machine, stm32f4_discovery
 from repro.image import build_vanilla_image
-from repro.interp import BatchRunner, Interpreter, batch_lanes
-from repro.interp.batch import DEFAULT_LANES, LaneFailure
+from repro.interp import BatchRunner, Interpreter
+from repro.interp.batch import LaneFailure
 from repro.interp.hooks import RuntimeHooks
 from repro.obs.metrics import MetricsRegistry
 from repro.ir import I32
@@ -52,34 +49,6 @@ class _ExplodingHooks(RuntimeHooks):
 
     def is_switch_point(self, interp, callee):
         raise RuntimeError("hook exploded")
-
-
-class TestReproBatch:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_lanes() == DEFAULT_LANES
-        assert batch_lanes(default=3) == 3
-
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "5")
-        assert batch_lanes() == 5
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "many", "2.5"])
-    def test_invalid_raises(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BATCH", raw)
-        with pytest.raises(ValueError, match="REPRO_BATCH"):
-            batch_lanes()
-
-    @pytest.mark.parametrize("raw", ["many", "2.5"])
-    def test_non_integer_distinct_message(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BATCH", raw)
-        with pytest.raises(ValueError, match="not an integer"):
-            batch_lanes()
-
-    def test_non_positive_distinct_message(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        with pytest.raises(ValueError, match="not a positive"):
-            batch_lanes()
 
 
 class TestBatchIdentity:
@@ -123,7 +92,7 @@ class TestBatchIdentity:
         assert aggregate["blockcompile.block_entries"] == \
             3 * solo_compiled["blockcompile.block_entries"]
 
-    def test_first_lane_warms_the_fleet(self, no_artifact_store):
+    def test_first_lane_warms_the_fleet(self):
         module = _loop_module(name="fresh")
         image = build_vanilla_image(module, stm32f4_discovery())
         runner = BatchRunner(block_compile=True)

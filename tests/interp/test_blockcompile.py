@@ -114,8 +114,7 @@ class TestEnvKnob:
 
 
 class TestClosureCache:
-    def test_closure_cached_and_shared_across_machines(
-            self, no_artifact_store):
+    def test_closure_cached_and_shared_across_machines(self):
         module = _loop_module(50)
         interp1, _, code1 = _run(module, True)
         first = interp1.compile_metrics.snapshot()["counters"]

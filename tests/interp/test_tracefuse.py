@@ -177,8 +177,7 @@ class TestEnvKnob:
 
 
 class TestTraceCache:
-    def test_trace_cached_and_shared_across_machines(
-            self, hot, no_artifact_store):
+    def test_trace_cached_and_shared_across_machines(self, hot):
         module = _loop_module(200)
         interp1, _, code1 = _run(module, "fused")
         first = interp1.compile_metrics.snapshot()["counters"]

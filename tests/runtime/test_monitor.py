@@ -200,3 +200,70 @@ class TestPeripheralVirtualization:
 
         with pytest.raises(SecurityAbort):
             run_image(artifacts.image, setup=setup)
+
+
+def _pinlock_run_args():
+    from repro.eval.workloads import build_app, opec_artifacts
+
+    app = build_app("PinLock")
+    return (opec_artifacts("PinLock").image,
+            {"setup": app.setup, "max_instructions": app.max_instructions})
+
+
+def _mini_run_args():
+    return build_opec(build_mini_module(), stm32f4_discovery(),
+                      MINI_SPECS).image, {}
+
+
+class TestSamePathTracing:
+    """A traced run executes the same operation-switch code as an
+    untraced one: attaching a recorder changes neither which
+    synchronisation phases run nor the cycles they charge.  PinLock
+    arms SysTick; the mini firmware switches with SysTick idle."""
+
+    PHASES = ("sanitize_operation", "write_back", "refresh",
+              "update_relocation_table", "redirect_pointers")
+
+    def _run_counting(self, monkeypatch, image, kwargs, recorder):
+        from repro.runtime.sync import DataSynchronizer
+
+        calls = dict.fromkeys(self.PHASES, 0)
+        for name in self.PHASES:
+            original = getattr(DataSynchronizer, name)
+
+            def counted(self, *args, _name=name, _original=original,
+                        **kw):
+                calls[_name] += 1
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(DataSynchronizer, name, counted)
+        try:
+            result = run_image(image, recorder=recorder, backend="mpu",
+                               **kwargs)
+        finally:
+            monkeypatch.undo()
+        return result, calls
+
+    @pytest.mark.parametrize("run_args", [_pinlock_run_args,
+                                          _mini_run_args],
+                             ids=["PinLock", "mini"])
+    def test_recorder_changes_neither_switch_path_nor_cycles(
+            self, monkeypatch, run_args):
+        from repro.obs.recorder import FlightRecorder
+
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        image, kwargs = run_args()
+        plain, plain_calls = self._run_counting(monkeypatch, image, kwargs,
+                                                None)
+        traced, traced_calls = self._run_counting(monkeypatch, image,
+                                                  kwargs, FlightRecorder())
+        assert plain.machine.recorder is None
+        assert traced.machine.recorder is not None
+        assert plain.hooks.switch_count > 0
+        assert plain_calls["sanitize_operation"] == \
+            2 * plain.hooks.switch_count
+        assert plain_calls == traced_calls
+        assert plain.halt_code == traced.halt_code
+        assert plain.machine.cycles == traced.machine.cycles
+        assert plain.machine.stats.as_dict() == \
+            traced.machine.stats.as_dict()
