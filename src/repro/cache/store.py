@@ -13,9 +13,9 @@ newline, then the zlib-compressed pickle.  Loads verify the hash
 before unpickling; any mismatch, truncation, or unpickling error
 counts as a corrupt entry, deletes the file best-effort, and reports a
 miss so the caller falls back to a cold build.  Writes go to a
-pid-suffixed temp file followed by :func:`os.replace`, so concurrent
-``REPRO_JOBS`` workers can share one store without ever observing a
-half-written entry.
+pid-suffixed temp file followed by :func:`os.replace`, so the
+concurrent worker processes of :func:`repro.fanout.fanout` can share
+one store without ever observing a half-written entry.
 
 Configuration (read per call, so tests can monkeypatch):
 
@@ -67,8 +67,9 @@ class CacheCounters:
         return asdict(self)
 
 
-# Process-wide aggregate over every store instance (workers report
-# this back to the pool parent so merged rows can show totals).
+# Process-wide aggregate over every store instance (fan-out workers
+# report their capture-window deltas back to the parent so merged rows
+# can show totals).
 GLOBAL_COUNTERS = CacheCounters()
 
 

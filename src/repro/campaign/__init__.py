@@ -4,8 +4,8 @@ A campaign takes a seed, generates a corpus of random-but-plausible
 firmwares (:mod:`.generator`), injects attacks through a host-side
 mailbox device (:mod:`.attacks`), runs every (firmware, attack) pair
 under vanilla / OPEC / ACES on each enforcement backend
-(:mod:`.engine`, fanned out over ``REPRO_JOBS`` worker processes with
-``BatchRunner`` lanes inside each), and renders a corpus-level
+(:mod:`.engine`, fanned out over ``REPRO_JOBS`` worker processes by
+:func:`repro.fanout.fanout`, with ``BatchRunner`` lanes inside each), and renders a corpus-level
 containment / over-privilege / switch-cost report (:mod:`.report`).
 
 Same seed ⇒ byte-identical report, regardless of job or lane count —

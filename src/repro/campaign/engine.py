@@ -8,10 +8,9 @@ each attack against each concrete image, and drives one
 baseline lane plus one lane per attack, for every (flavour, backend)
 pair, all sharing the flavour images and their compiled blocks.
 
-Firmwares fan out over ``REPRO_JOBS`` worker processes
-(``ProcessPoolExecutor``, like :func:`repro.eval.workloads.
-compute_all_rows`); the per-firmware reports are merged in corpus
-index order, and each finished :class:`FirmwareReport` is itself
+Firmwares fan out over ``REPRO_JOBS`` worker processes through
+:func:`repro.fanout.fanout`, which returns the per-firmware reports in
+corpus index order; each finished :class:`FirmwareReport` is itself
 persisted in the artifact store, so re-running a campaign with a warm
 store replays no simulation at all.  Either way the merged
 :class:`CampaignResult` — and the report rendered from it — is
@@ -41,6 +40,7 @@ from typing import Optional
 from .. import cache
 from ..baselines import build_aces
 from ..eval.metrics import pt_value
+from ..fanout import fanout
 from ..interp.batch import BatchRunner, LaneFailure
 from ..obs import fleet
 from ..obs.events import FLEET_FIRMWARE
@@ -341,29 +341,10 @@ def _firmware_worker(
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run the whole corpus, fanned out over ``REPRO_JOBS`` workers."""
-    from ..eval.workloads import repro_jobs
-
     config.validate()
-    jobs = repro_jobs() if config.jobs is None else max(1, config.jobs)
-    indices = list(range(config.firmwares))
-    if jobs > 1 and len(indices) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(jobs, len(indices))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Contiguous chunks (not one task per firmware) keep each
-            # worker on one long-lived slice, so the per-process build
-            # memos amortise across the chunk instead of being
-            # re-proven per pickled task.
-            pairs = list(pool.map(
-                _firmware_worker,
-                [(config, index) for index in indices],
-                chunksize=-(-len(indices) // workers)))
-    else:
-        pairs = [_firmware_worker((config, index)) for index in indices]
-    # Workers return in map order (= corpus index order) already, but
-    # sort defensively so the merge is order-independent by contract.
-    pairs.sort(key=lambda pair: pair[0].index)
+    pairs = fanout(_firmware_worker,
+                   [(config, index) for index in range(config.firmwares)],
+                   config.jobs)
     reports = [report for report, _ in pairs]
     telemetry = []
     for position, (report, envelope) in enumerate(pairs):

@@ -275,6 +275,7 @@ def _cmd_bench(args) -> int:
 def _cmd_campaign(args) -> int:
     from .campaign import (CampaignConfig, render_report, report_rows,
                            run_campaign)
+    from .fanout import validate_jobs
     from .obs.fleet import telemetry_summary
 
     config = CampaignConfig(
@@ -282,7 +283,8 @@ def _cmd_campaign(args) -> int:
         firmwares=args.firmwares,
         attacks=tuple(args.attacks),
         backends=tuple(args.backends),
-        jobs=args.jobs,
+        jobs=None if args.jobs is None
+        else validate_jobs(args.jobs, "--jobs"),
     )
     result = run_campaign(config)
     text = render_report(result)
@@ -308,11 +310,12 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_fleet(args) -> int:
+    from .fanout import validate_jobs
     from .obs import fleet
     from .obs.recorder import validate_capacity
 
     jobs = None if args.jobs is None \
-        else fleet.validate_jobs(args.jobs, "--jobs")
+        else validate_jobs(args.jobs, "--jobs")
     capacity = None if args.buf is None \
         else validate_capacity(args.buf, "--buf")
     result = fleet.run_fleet(
@@ -476,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=BACKEND_CHOICES,
                           help="enforcement backends to sweep")
     campaign.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default: REPRO_JOBS)")
+                          help="worker processes (default: REPRO_JOBS); "
+                               "must be positive")
     campaign.add_argument("--output",
                           help="also write the report to OUTPUT.txt and "
                                "the flat rows to OUTPUT.tsv")

@@ -24,19 +24,19 @@ and reports, side by side:
 Row order is fixed — apps in :data:`APP_NAMES` order, backends in
 :data:`KNOWN_BACKENDS` order, per-backend ``Average`` rows last — so
 the rendered report is byte-deterministic and safe to commit under
-``results/``.  With ``REPRO_JOBS`` > 1 the (app, backend) cells are
-computed concurrently in a process pool, sharing the on-disk artifact
-store; the merged output is identical to the serial path.
+``results/``.  The (app, backend) cells fan out through
+:func:`repro.fanout.fanout`, sharing the on-disk artifact store; the
+merged output is identical for any ``REPRO_JOBS``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..fanout import fanout
 from ..hw.backend import KNOWN_BACKENDS
-from .workloads import APP_NAMES, active_profile, repro_jobs, run_build
+from .workloads import APP_NAMES, run_build
 
 
 @dataclass
@@ -79,16 +79,12 @@ def compute_cell(name: str, backend: str,
     )
 
 
-def _cell_worker(job: tuple[str, str, str]) -> BackendRow:
-    """Process-pool entry point: pin the profile, compute one cell.
-
-    ``REPRO_BACKEND`` is deliberately *not* exported here — the
-    backend is passed explicitly per cell, and the shared vanilla
-    baseline is always keyed to "mpu" regardless of ambient state.
-    """
-    name, profile, backend = job
-    os.environ["REPRO_PROFILE"] = profile
-    return compute_cell(name, backend, profile)
+def _cell_worker(pair: tuple[str, str]) -> BackendRow:
+    """Fan-out entry point: one (app, backend) cell under the inherited
+    profile.  The backend is passed explicitly per cell, and the shared
+    vanilla baseline is always keyed to "mpu" regardless of ambient
+    state."""
+    return compute_cell(*pair)
 
 
 def _averages(rows: list[BackendRow],
@@ -118,18 +114,9 @@ def compute_matrix(apps: Sequence[str] = APP_NAMES,
                    backends: Sequence[str] = KNOWN_BACKENDS,
                    jobs: Optional[int] = None) -> list[BackendRow]:
     """All (app, backend) cells plus per-backend ``Average`` rows."""
-    jobs = repro_jobs() if jobs is None else max(1, jobs)
-    pairs = [(name, backend) for name in apps for backend in backends]
-    if jobs > 1 and len(pairs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        profile = active_profile()
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
-            rows = list(pool.map(
-                _cell_worker,
-                [(name, profile, backend) for name, backend in pairs]))
-    else:
-        rows = [compute_cell(name, backend) for name, backend in pairs]
+    rows = fanout(_cell_worker,
+                  [(name, backend) for name in apps for backend in backends],
+                  jobs)
     return rows + _averages(rows, backends)
 
 

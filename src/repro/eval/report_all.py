@@ -1,8 +1,8 @@
 """Regenerate every table and figure of the paper's evaluation (§6).
 
-All rows come from :func:`repro.eval.workloads.compute_all_rows`, so
-exporting ``REPRO_JOBS`` > 1 fans the seven applications out over a
-process pool; the printed output is byte-identical either way.
+All rows come from :func:`repro.eval.workloads.compute_all_rows`,
+which fans the seven applications out over ``REPRO_JOBS`` worker
+processes; the printed output is byte-identical for any worker count.
 """
 
 from __future__ import annotations

@@ -14,11 +14,10 @@ evaluations — and every ``REPRO_JOBS`` worker — reuse whole-image
 builds and completed simulation results across processes.  Set
 ``REPRO_CACHE=off`` to bypass the store.
 
-:func:`compute_all_rows` is the evaluation fan-out point: it computes
-every table/figure row of §6, either serially in-process or — with
-``REPRO_JOBS`` > 1 — one worker process per application, merging the
-returned rows in fixed :data:`APP_NAMES` order so the rendered output
-is byte-identical either way.
+:func:`compute_all_rows` computes every table/figure row of §6 through
+:func:`repro.fanout.fanout`, one item per application, and merges the
+returned rows in fixed :data:`APP_NAMES` order, so the rendered output
+is byte-identical for any ``REPRO_JOBS``.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from ..apps import ACES_APPS, ALL_APPS, Application
 from ..obs import fleet
 from ..apps import coremark, pinlock
 from ..baselines import AcesArtifacts, build_aces
+from ..fanout import fanout
 from ..hw.backend import active_backend
 from ..pipeline import BuildArtifacts, RunResult, build_opec, build_vanilla, run_image
 
@@ -44,18 +44,6 @@ KNOWN_PROFILES = ("paper", "quick")
 
 def active_profile() -> str:
     return os.environ.get("REPRO_PROFILE", "paper")
-
-
-def repro_jobs() -> int:
-    """Evaluation fan-out width.  ``REPRO_JOBS`` unset/1 → serial;
-    ``0`` or ``auto`` → one worker per CPU."""
-    raw = os.environ.get("REPRO_JOBS", "1").strip().lower()
-    if raw in ("0", "auto"):
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 _app_cache: dict[tuple[str, str], Application] = {}
@@ -118,6 +106,17 @@ def aces_artifacts(name: str, strategy: str,
     return _aces_cache[key]
 
 
+def flavour_image(name: str, kind: str, profile: Optional[str] = None):
+    """The built image of one flavour ("vanilla", "opec", "ACES1/2/3"),
+    served by the memos and the artifact store."""
+    if kind == "vanilla":
+        app = build_app(name, profile)
+        return build_vanilla(app.module, app.board)
+    if kind == "opec":
+        return opec_artifacts(name, profile).image
+    return aces_artifacts(name, kind, profile).image
+
+
 def _run_digest(app: Application, name: str, kind: str,
                 profile: str, backend: str) -> str:
     """Content key for one simulated run of one build flavour."""
@@ -163,12 +162,7 @@ def run_build(name: str, kind: str, profile: Optional[str] = None,
             app.verify_run(cached.machine, cached.halt_code)
             _run_cache[key] = cached
             return cached
-    if kind == "vanilla":
-        image = build_vanilla(app.module, app.board)
-    elif kind == "opec":
-        image = opec_artifacts(name, profile).image
-    else:
-        image = aces_artifacts(name, kind, profile).image
+    image = flavour_image(name, kind, profile)
     result = run_image(image, setup=app.setup,
                        max_instructions=app.max_instructions,
                        backend=backend)
@@ -214,19 +208,16 @@ def _compute_app_rows(name: str, backend: Optional[str] = None) -> dict:
     return rows
 
 
-def _app_rows_worker(job: tuple[str, str, str]) -> tuple[str, dict, object]:
-    """Process-pool entry point: pin the worker's profile (an ambient
-    setting many helpers default from) and compute one app's rows; the
-    enforcement backend travels as an explicit parameter, never via
-    the environment.  Workers share the parent's on-disk artifact
-    store (``REPRO_CACHE`` is inherited), so only the first process to
-    need a build or run pays for it; the returned telemetry envelope
-    carries the capture window's cache traffic, compile activity, and
-    simulated metrics back to the parent.  A capture window, not
-    process totals: with chunked dispatch one worker process computes
-    several apps back to back."""
-    name, profile, backend = job
-    os.environ["REPRO_PROFILE"] = profile
+def _app_rows_worker(job: tuple[str, str]) -> tuple[str, dict, object]:
+    """Fan-out entry point: compute one app's rows under the inherited
+    profile, with the enforcement backend as an explicit parameter.
+    Workers share the parent's on-disk artifact store (``REPRO_CACHE``
+    is inherited), so only the first process to need a build or run
+    pays for it; the returned telemetry envelope carries the capture
+    window's cache traffic, compile activity, and simulated metrics
+    back to the parent.  A capture window, not process totals: one
+    worker process computes a chunk of apps back to back."""
+    name, backend = job
     token = fleet.begin_capture()
     try:
         rows = _compute_app_rows(name, backend=backend)
@@ -239,17 +230,16 @@ def compute_all_rows(jobs: Optional[int] = None,
                      backend: Optional[str] = None) -> dict[str, list]:
     """All rows for Tables 1–3 and Figures 9–11.
 
-    With ``jobs`` (default: ``REPRO_JOBS``) > 1, applications are
-    built and run concurrently in a process pool; the per-app rows are
-    then merged in fixed ``APP_NAMES`` order, so the result — and
-    everything rendered from it — is identical to the serial path.
+    Applications fan out over ``jobs`` (default: ``REPRO_JOBS``)
+    worker processes; the per-app rows are merged in fixed
+    ``APP_NAMES`` order, so the result — and everything rendered from
+    it — is identical for any worker count.
 
     The returned mapping carries three extra, non-table keys.
     ``"cache"``: aggregate artifact-cache hit/miss/bytes counters
     summed over this call across every worker process.  ``"compile"``:
     aggregate interpreter compile-metric counters (blocks/traces
-    compiled, cache loads, fallback steps, …) summed the same way —
-    previously these died with each worker's interpreters.
+    compiled, cache loads, fallback steps, …) summed the same way.
     ``"telemetry"``: the full per-worker
     :class:`~repro.obs.fleet.WorkerTelemetry` envelopes (conductor
     first, then one per application in ``APP_NAMES`` order) the
@@ -259,35 +249,15 @@ def compute_all_rows(jobs: Optional[int] = None,
     """
     from . import figure9, table1
 
-    jobs = repro_jobs() if jobs is None else max(1, jobs)
     backend = backend or active_backend()
-    envelopes: list[fleet.WorkerTelemetry] = []
     outer = fleet.begin_capture()
     try:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            profile = active_profile()
-            per_app: dict[str, dict] = {}
-            workers = min(jobs, len(APP_NAMES))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for name, rows, envelope in pool.map(
-                        _app_rows_worker,
-                        [(name, profile, backend) for name in APP_NAMES],
-                        chunksize=-(-len(APP_NAMES) // workers)):
-                    per_app[name] = rows
-                    envelopes.append(envelope)
-        else:
-            per_app = {}
-            for name in APP_NAMES:
-                token = fleet.begin_capture()
-                try:
-                    per_app[name] = _compute_app_rows(name,
-                                                      backend=backend)
-                finally:
-                    envelopes.append(fleet.end_capture(token, label=name))
+        results = fanout(_app_rows_worker,
+                         [(name, backend) for name in APP_NAMES], jobs)
     finally:
         conductor = fleet.end_capture(outer, label="conductor")
+    per_app = {name: rows for name, rows, _ in results}
+    envelopes = [envelope for _, _, envelope in results]
     for index, envelope in enumerate(envelopes):
         envelope.worker = index + 1
     telemetry = [conductor, *envelopes]

@@ -11,8 +11,9 @@ cross-worker layer:
   interpreter compile counters the work accumulated (via
   :func:`record_simulation`), the artifact-store traffic it caused,
   per-lane recorder rings, and the worker's host-side event stream.
-  Envelopes ride the existing pool result protocol back to the parent
-  (``eval/workloads.py`` and ``campaign/engine.py`` both return them).
+  Envelopes ride back to the parent as ordinary worker results of
+  :func:`repro.fanout.fanout` (``eval/workloads.py`` and
+  ``campaign/engine.py`` both return them).
   Captures nest: an inner capture's cache traffic is *excluded* from
   the enclosing one, so summing a call's envelopes never double-counts.
 
@@ -46,6 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..fanout import fanout, split
 from .events import (
     DOMAIN_HOST,
     DOMAIN_SIM,
@@ -65,21 +67,6 @@ from .recorder import FlightRecorder, install, trace_capacity
 #: CI fleet smoke both truncate here — keep the literal in sync.
 HOST_SECTION_MARKER = \
     "-- host domain (wall clock; masked in determinism checks) --"
-
-
-def validate_jobs(value, source: str = "--jobs") -> int:
-    """Parse a worker count, failing loudly on non-positive values
-    (the ``repro fleet`` counterpart of
-    :func:`~repro.obs.recorder.validate_capacity`)."""
-    try:
-        jobs = int(value)
-    except (TypeError, ValueError):
-        jobs = 0
-    if jobs <= 0:
-        raise ValueError(
-            f"invalid worker count {value!r} ({source}): "
-            "expected a positive integer")
-    return jobs
 
 
 def _now_us() -> int:
@@ -304,7 +291,7 @@ def _lane_switches(machine_metrics: MetricsRegistry, hooks) -> int:
 
 def _fleet_eval_worker(
         job: tuple[int, list, str, int, bool]) -> WorkerTelemetry:
-    """Pool entry point: simulate one worker's slice of the lane grid.
+    """Fan-out entry point: simulate one worker's slice of the lane grid.
 
     Every lane simulates *fresh* under a dedicated recorder (a cached
     RunResult carries no event stream).  The lanes run one after
@@ -313,14 +300,11 @@ def _fleet_eval_worker(
     served by the artifact store as usual.  The sim-domain outcome of a
     lane is therefore cache-temperature- and worker-count-independent.
     """
-    import os
-
-    worker, specs, profile, capacity, trace = job
-    saved_profile = os.environ.get("REPRO_PROFILE")
-    os.environ["REPRO_PROFILE"] = profile
+    from ..eval.workloads import build_app, flavour_image
     from ..hw.exceptions import MachineError
     from ..interp.batch import BatchRunner, LaneFailure
 
+    worker, specs, profile, capacity, trace = job
     host = FlightRecorder(capacity)
     previous = install(host)
     token = begin_capture()
@@ -333,7 +317,8 @@ def _fleet_eval_worker(
             for app_name, kind, backend in specs:
                 lane_name = f"{app_name}:{kind}:{backend}"
                 with wall_span(host, FLEET_BUILD, lane_name):
-                    app, image = _lane_image(app_name, kind, profile)
+                    app = build_app(app_name, profile)
+                    image = flavour_image(app_name, kind, profile)
                 recorder = FlightRecorder(capacity)
                 lane = runner.add(
                     image, name=lane_name, setup=app.setup,
@@ -370,31 +355,10 @@ def _fleet_eval_worker(
                 lanes.append(telemetry)
     finally:
         install(previous)
-        if saved_profile is None:
-            os.environ.pop("REPRO_PROFILE", None)
-        else:
-            os.environ["REPRO_PROFILE"] = saved_profile
         envelope = end_capture(token, worker=worker,
                                label=f"worker{worker}", lanes=lanes,
                                host_events=host.events())
     return envelope
-
-
-def _lane_image(app_name: str, kind: str, profile: str):
-    """Resolve one lane's application and built image (store-served)."""
-    from ..eval.workloads import (
-        aces_artifacts,
-        build_app,
-        opec_artifacts,
-    )
-    from ..pipeline import build_vanilla
-
-    app = build_app(app_name, profile)
-    if kind == "vanilla":
-        return app, build_vanilla(app.module, app.board)
-    if kind == "opec":
-        return app, opec_artifacts(app_name, profile).image
-    return app, aces_artifacts(app_name, kind, profile).image
 
 
 def run_fleet(target: str, *, jobs: Optional[int] = None,
@@ -408,16 +372,17 @@ def run_fleet(target: str, *, jobs: Optional[int] = None,
     the merged telemetry.
 
     ``target`` is an application name, ``all``, or ``campaign``.  Eval
-    targets expand to one lane per (app, build flavour, backend), split
-    round-robin over ``jobs`` workers (default ``REPRO_JOBS``); the
-    campaign target drives :func:`repro.campaign.run_campaign` with
-    telemetry capture on.  The sim-domain content of the result — lane
+    targets expand to one lane per (app, build flavour, backend), cut
+    into one contiguous slice per worker (``jobs``, default
+    ``REPRO_JOBS``); the campaign target drives
+    :func:`repro.campaign.run_campaign` with telemetry capture on.  The sim-domain content of the result — lane
     outcomes, per-lane event streams, merged sim metrics — is
     byte-stable for any job count; only the host-domain spans differ.
     """
-    from ..eval.workloads import active_profile, repro_jobs
+    from ..eval.workloads import active_profile
+    from ..fanout import env_jobs, validate_jobs
 
-    jobs = repro_jobs() if jobs is None else validate_jobs(jobs)
+    jobs = env_jobs() if jobs is None else validate_jobs(jobs)
     profile = profile or active_profile()
     capacity = trace_capacity() if capacity is None else capacity
     start = time.perf_counter()
@@ -438,8 +403,13 @@ def run_fleet(target: str, *, jobs: Optional[int] = None,
                 backends = (active_backend(),)
             backends = tuple(backends)
             specs = fleet_lane_specs(target, profile, backends)
-            envelopes = _dispatch_eval_workers(
-                specs, profile, capacity, trace, jobs, parent_recorder)
+            # One contiguous slice (one batch runner) per worker.
+            slices = split(specs, min(jobs, len(specs)))
+            envelopes = fanout(
+                _fleet_eval_worker,
+                [(index + 1, lanes, profile, capacity, trace)
+                 for index, lanes in enumerate(slices)],
+                len(slices), recorder=parent_recorder)
     finally:
         install(previous)
         parent = end_capture(token, worker=0, label="conductor",
@@ -448,42 +418,6 @@ def run_fleet(target: str, *, jobs: Optional[int] = None,
     return FleetResult(target=target, profile=profile, backends=backends,
                        jobs=jobs, trace=trace, envelopes=envelopes,
                        parent=parent, wall_s=wall_s)
-
-
-def _dispatch_eval_workers(specs, profile, capacity, trace, jobs,
-                           parent_recorder) -> list[WorkerTelemetry]:
-    """Fan the lane grid out over worker processes (round-robin slices,
-    one long-lived job per worker) and collect their envelopes."""
-    workers = max(1, min(jobs, len(specs)))
-    slices = [(index + 1, specs[index::workers], profile, capacity, trace)
-              for index in range(workers)]
-    if workers == 1:
-        with wall_span(parent_recorder, FLEET_DISPATCH, "worker1",
-                       worker=1, lanes=len(specs)):
-            return [_fleet_eval_worker(slices[0])]
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    envelopes: list[Optional[WorkerTelemetry]] = [None] * workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {}
-        begins = {}
-        for job in slices:
-            worker = job[0]
-            begins[worker] = _now_us()
-            pending[pool.submit(_fleet_eval_worker, job)] = \
-                (worker, len(job[1]))
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                worker, lane_count = pending.pop(future)
-                parent_recorder.begin(
-                    FLEET_DISPATCH, f"worker{worker}", begins[worker],
-                    DOMAIN_HOST, {"worker": worker, "lanes": lane_count})
-                parent_recorder.end(FLEET_DISPATCH, f"worker{worker}",
-                                    _now_us(), DOMAIN_HOST,
-                                    {"worker": worker})
-                envelopes[worker - 1] = future.result()
-    return [env for env in envelopes if env is not None]
 
 
 def _run_campaign_fleet(*, seed, firmwares, attacks, backends, jobs,
@@ -744,5 +678,5 @@ __all__ = [
     "collector", "end_capture", "fleet_lane_specs", "fuse_trace",
     "record_simulation", "render_dashboard", "reset", "run_fleet",
     "sim_dashboard_section", "sim_trace_section", "telemetry_summary",
-    "validate_jobs", "wall_span",
+    "wall_span",
 ]

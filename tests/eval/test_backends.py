@@ -93,6 +93,10 @@ class TestMatrix:
                 < cells["mpu"].cycles
                 < cells["pmp"].cycles)
 
+    def test_fanned_out_matrix_matches_inline(self):
+        assert backends_mod.compute_matrix(apps=("PinLock",), jobs=2) \
+            == backends_mod.compute_matrix(apps=("PinLock",), jobs=1)
+
     def test_render_is_deterministic_and_complete(self):
         rows = backends_mod.compute_matrix(apps=("PinLock",), jobs=1)
         text = backends_mod.render(rows)

@@ -122,6 +122,9 @@ def test_fleet_command(capsys, tmp_path):
 def test_fleet_knobs_rejected_loudly():
     with pytest.raises(ValueError, match="invalid worker count"):
         main(["fleet", "PinLock", "--jobs", "0"])
+    for bad in ("0", "-3"):
+        with pytest.raises(ValueError, match="invalid worker count"):
+            main(["campaign", "--firmwares", "1", "--jobs", bad])
     with pytest.raises(ValueError, match="invalid ring capacity"):
         main(["fleet", "PinLock", "--jobs", "1", "--buf", "-5"])
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.eval import workloads
+from repro.fanout import env_jobs
 
 
 def test_profiles_change_workload_scale():
@@ -69,15 +70,17 @@ def test_active_profile_env(monkeypatch):
 
 def test_repro_jobs_env(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert workloads.repro_jobs() == 1
+    assert env_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "4")
-    assert workloads.repro_jobs() == 4
+    assert env_jobs() == 4
     monkeypatch.setenv("REPRO_JOBS", "auto")
-    assert workloads.repro_jobs() >= 1
+    assert env_jobs() >= 1
     monkeypatch.setenv("REPRO_JOBS", "bogus")
-    assert workloads.repro_jobs() == 1
+    with pytest.raises(ValueError, match="invalid worker count"):
+        env_jobs()
     monkeypatch.setenv("REPRO_JOBS", "-3")
-    assert workloads.repro_jobs() == 1
+    with pytest.raises(ValueError, match="invalid worker count"):
+        env_jobs()
 
 
 def test_compute_all_rows_sections_and_order():

@@ -83,18 +83,6 @@ class TestCapture:
         assert clone.lanes[0].events[0].name == "e"
 
 
-class TestValidateJobs:
-    def test_rejects_non_positive(self):
-        for bad in (0, -2, "0", "nope", None):
-            with pytest.raises(ValueError,
-                               match="invalid worker count"):
-                fleet.validate_jobs(bad)
-
-    def test_accepts_positive(self):
-        assert fleet.validate_jobs(3) == 3
-        assert fleet.validate_jobs("2", "--jobs") == 2
-
-
 class TestWallSpan:
     def test_emits_begin_end_pair_with_wall_ts(self):
         recorder = FlightRecorder(8)
@@ -187,3 +175,21 @@ class TestRunFleet:
         worker_pids = {entry.get("pid")
                        for entry in document["traceEvents"]} - {0, 1}
         assert len(worker_pids) >= 2
+        dispatch_tracks = {entry["args"]["name"]
+                           for entry in document["traceEvents"]
+                           if entry.get("pid") == 1
+                           and entry.get("name") == "thread_name"}
+        assert {"dispatch worker1", "dispatch worker2"} <= dispatch_tracks
+
+    def test_explicit_profile_beats_ambient_profile(self, monkeypatch):
+        """Workers take the profile as an argument: an ambient
+        REPRO_PROFILE inherited by the pool children changes nothing."""
+        dashboards = []
+        for ambient in ("paper", "quick"):
+            monkeypatch.setenv("REPRO_PROFILE", ambient)
+            fleet.reset()
+            run = fleet.run_fleet("PinLock", jobs=2, profile="quick",
+                                  backends=("mpu",))
+            dashboards.append(
+                fleet.sim_dashboard_section(fleet.render_dashboard(run)))
+        assert dashboards[0] == dashboards[1]
