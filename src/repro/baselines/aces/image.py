@@ -153,7 +153,7 @@ def build_aces_image(module: Module, board: Board,
         if gvar in grouped:
             continue
         address = align_up(cursor, max(gvar.value_type.alignment, _WORD))
-        image._global_addresses[gvar] = address
+        image._global_addresses[gvar.name] = address
         cursor = address + align_up(gvar.size, _WORD)
     image.add_section("data", loose_start, cursor - loose_start, "data")
 
@@ -171,7 +171,7 @@ def build_aces_image(module: Module, board: Board,
         offset = base
         for gvar in group.variables:
             address = align_up(offset, max(gvar.value_type.alignment, _WORD))
-            image._global_addresses[gvar] = address
+            image._global_addresses[gvar.name] = address
             offset = address + align_up(gvar.size, _WORD)
         cursor = base + region
 

@@ -58,10 +58,16 @@ class TaskTracer:
         self._window_task: Optional[str] = None
         self._window_depth = 0
         self._depth = 0
+        # Bumped whenever the trace itself grows.
+        self._version = 0
 
     def install(self, interp: Interpreter) -> None:
         interp.on_function_enter = self._on_enter
         interp.on_function_exit = self._on_exit
+        interp.callback_state = self._state
+
+    def _state(self) -> tuple:
+        return (self._depth, self._window_task, self._version)
 
     def _on_enter(self, func: Function) -> None:
         self._depth += 1
@@ -71,9 +77,12 @@ class TaskTracer:
             self.trace.invocations[func.name] = (
                 self.trace.invocations.get(func.name, 0) + 1
             )
+            self._version += 1
         if self._window_task is not None:
-            self.trace.executed.setdefault(
-                self._window_task, set()).add(func.name)
+            names = self.trace.executed.setdefault(self._window_task, set())
+            if func.name not in names:
+                names.add(func.name)
+                self._version += 1
 
     def _on_exit(self, func: Function) -> None:
         if (self._window_task is not None

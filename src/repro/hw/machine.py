@@ -117,6 +117,11 @@ class Machine:
         self._systick_armed = False
         self._systick_period = 0
         self._systick_next = 0
+        # Quiet-read bookkeeping for idle skipping (``quiet_read``):
+        # the earliest deadline reported since the interpreter last
+        # looked (0 = none), and the number of quiet reads so far.
+        self._quiet_deadline = 0
+        self._quiet_reads = 0
         self.metrics = MetricsRegistry()
         self.stats = MachineStats(self.metrics)
         # Flight recorder, or None (the default): emit seams check
@@ -215,6 +220,17 @@ class Machine:
         self._systick_next += (
             (self.cycles - self._systick_next) // period + 1
         ) * period
+
+    def quiet_read(self, deadline: int) -> None:
+        """Device-side: the MMIO read in progress is quiet until ``deadline``.
+
+        It has no side effect and returns the same value on every read
+        issued before cycle ``deadline`` (see
+        :class:`~repro.hw.memory.MMIODevice`).
+        """
+        self._quiet_reads += 1
+        if not self._quiet_deadline or deadline < self._quiet_deadline:
+            self._quiet_deadline = deadline
 
     # -- interrupts ------------------------------------------------------
 

@@ -11,11 +11,23 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
+from ..obs.metrics import Counter
 from .exceptions import HardFault
 
 
 class MMIODevice(Protocol):
-    """Interface of a memory-mapped device model."""
+    """Interface of a memory-mapped device model.
+
+    **Quiet reads.**  A read that has no side effect and whose value
+    cannot change before some future cycle — a status register polled
+    while the device is still busy — may be reported from inside
+    ``mmio_read`` through ``machine.quiet_read(deadline)``, where
+    ``deadline`` is the first cycle at which the same read can return
+    a different value.  The interpreter's idle skipping fast-forwards
+    polling loops whose every MMIO read was reported quiet; a read a
+    device does not report is treated as observable, so reporting is
+    optional and never changes what a run computes.
+    """
 
     def mmio_read(self, offset: int, size: int) -> int: ...
 
@@ -100,13 +112,19 @@ class FlashRegion(RamRegion):
 
 
 class MMIORegion(Region):
-    """A device's register window."""
+    """A device's register window.
+
+    ``reads`` counts device reads; :meth:`MemoryMap.map` swaps in the
+    map-wide counter, so the machine sees every MMIO read in one cell.
+    """
 
     def __init__(self, name: str, base: int, size: int, device: MMIODevice):
         super().__init__(name, base, size)
         self.device = device
+        self.reads = Counter("mmio_reads")
 
     def read(self, address: int, size: int) -> int:
+        self.reads.value += 1
         return self.device.mmio_read(address - self.base, size)
 
     def write(self, address: int, size: int, value: int) -> None:
@@ -119,6 +137,7 @@ class MemoryMap:
     def __init__(self):
         self.regions: list[Region] = []
         self._cache: Optional[Region] = None
+        self.mmio_reads = Counter("mmio_reads")
 
     def map(self, region: Region) -> Region:
         for existing in self.regions:
@@ -126,6 +145,8 @@ class MemoryMap:
                 raise ValueError(
                     f"region {region.name} overlaps {existing.name}"
                 )
+        if isinstance(region, MMIORegion):
+            region.reads = self.mmio_reads
         self.regions.append(region)
         self.regions.sort(key=lambda r: r.base)
         self._cache = None

@@ -154,6 +154,10 @@ class UART:
                 self._empty_polls += 1
                 if self._empty_polls > _POLL_LIMIT:
                     raise HardFault("UART RX polled forever with no input")
+            else:
+                # A byte is still on the wire: until it lands, this
+                # read returns the same status and changes nothing.
+                self.machine.quiet_read(self._next_ready)
             return status
         if offset == self.DR:
             if self.rx_queue:

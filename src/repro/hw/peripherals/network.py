@@ -54,7 +54,10 @@ class EthernetMAC:
         if offset == self.RX_STAT:
             if not self.rx_frames:
                 return 0
-            if self.machine is not None and self.machine.cycles < self._next_ready:
+            machine = self.machine
+            if machine is not None and machine.cycles < self._next_ready:
+                # The next frame is still in flight: quiet until it lands.
+                machine.quiet_read(self._next_ready)
                 return 0
             return len(self.rx_frames)
         if offset == self.RX_LEN:

@@ -65,7 +65,10 @@ class Image:
         self.sections: list[Section] = []
         self._function_addresses: dict[Function, int] = {}
         self._functions_by_address: dict[int, Function] = {}
-        self._global_addresses: dict[GlobalVariable, int] = {}
+        # Keyed by name, like TaskTrace.functions_of: a store-served
+        # image carries its own unpickled copy of the module, so callers
+        # holding the live module's GlobalVariable still resolve.
+        self._global_addresses: dict[str, int] = {}
         self.stack_top = 0
         self.stack_limit = 0
         self.heap_base = 0
@@ -85,7 +88,7 @@ class Image:
         return self._functions_by_address.get(address)
 
     def global_address(self, gvar: GlobalVariable) -> int:
-        return self._global_addresses[gvar]
+        return self._global_addresses[gvar.name]
 
     # -- layout helpers -------------------------------------------------
 
@@ -115,7 +118,7 @@ class Image:
             if not gvar.is_const:
                 continue
             address = align_up(cursor, gvar.value_type.alignment)
-            self._global_addresses[gvar] = address
+            self._global_addresses[gvar.name] = address
             cursor = address + gvar.size
         return cursor
 
@@ -138,7 +141,8 @@ class Image:
 
     def initialize_memory(self, machine) -> None:
         """Program flash and set globals' initial SRAM contents."""
-        for gvar, address in self._global_addresses.items():
+        for name, address in self._global_addresses.items():
+            gvar = self.module.get_global(name)
             blob = gvar.encode_initializer()
             if gvar.is_const:
                 machine.program_flash(address, blob)
@@ -177,7 +181,7 @@ def build_vanilla_image(module: Module, board: Board,
     data_start = sram_cursor
     for gvar in module.writable_globals():
         address = align_up(sram_cursor, max(gvar.value_type.alignment, 4))
-        image._global_addresses[gvar] = address
+        image._global_addresses[gvar.name] = address
         sram_cursor = address + align_up(gvar.size, _WORD_ALIGN)
     image.add_section("data", data_start, sram_cursor - data_start, "data")
 

@@ -172,7 +172,7 @@ def _layout_sram(image: OpecImage) -> None:
     for gvar in policy.all_external_vars() + policy.public_only_vars():
         address = align_up(cursor, max(gvar.value_type.alignment, _WORD))
         image.public_addresses[gvar] = address
-        image._global_addresses[gvar] = address
+        image._global_addresses[gvar.name] = address
         cursor = address + align_up(gvar.size, _WORD)
     cursor = align_up(cursor, _WORD) + md.MONITOR_DATA_BYTES
     image.add_section("public", public_start, cursor - public_start, "public")
@@ -248,7 +248,7 @@ def _place_section_vars(image: OpecImage, operation: Operation,
     cursor = base
     for gvar in policy.internal_vars(operation):
         address = align_up(cursor, max(gvar.value_type.alignment, _WORD))
-        image._global_addresses[gvar] = address
+        image._global_addresses[gvar.name] = address
         cursor = address + align_up(gvar.size, _WORD)
     for gvar in policy.external_vars(operation):
         address = align_up(cursor, max(gvar.value_type.alignment, _WORD))

@@ -71,3 +71,10 @@ class RuntimeHooks:
 
     def on_halt(self, interp: "Interpreter", code: int) -> None:
         """Called when the firmware halts."""
+
+    def idle_state(self, interp: "Interpreter") -> object:
+        """A token of any hook state that code running between switches
+        can change (e.g. a lookup cache whose miss costs cycles).  Idle
+        skipping only fast-forwards a polling loop while it is equal
+        across iterations."""
+        return None

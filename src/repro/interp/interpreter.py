@@ -23,6 +23,14 @@ path allocates nothing.  None of this changes *what* is charged — the
 DWT cycle counter and every :class:`~repro.hw.machine.MachineStats`
 counter stay bit-identical to the reference semantics (see DESIGN.md,
 "Performance & determinism").
+
+The compiled tier also fast-forwards device polling loops
+(:meth:`Interpreter._idle_skip`): once two consecutive iterations of a
+loop whose MMIO reads were all *quiet* (see
+:class:`~repro.hw.memory.MMIODevice`) leave the execution state
+unchanged, the remaining iterations up to the device's deadline are
+charged in bulk — the same cycles, instruction count and counters the
+skipped iterations would have produced.
 """
 
 from __future__ import annotations
@@ -171,10 +179,26 @@ class Interpreter:
             "tracefuse.trace_rejects")
         self._n_trace_entries = self.compile_metrics.counter(
             "tracefuse.trace_entries")
+        self._n_idle_skips = self.compile_metrics.counter("idle.skips")
+        self._n_idle_iterations = self.compile_metrics.counter(
+            "idle.iterations_skipped")
+        self._n_idle_cycles = self.compile_metrics.counter(
+            "idle.cycles_skipped")
+        # Idle skipping: the previous ``(state, counts)`` snapshot, and
+        # the counters whose change ends a fixed point (a store, an
+        # SVC or switch, a fault).
+        self._idle_prev = None
+        self._idle_events = tuple(
+            machine.stats.counter(name) for name in
+            ("stores", "svc_calls", "memmanage_faults", "bus_faults"))
         # Optional function-granularity trace (GDB single-step stand-in,
         # §6.4): the evaluation harness records executed functions per task.
         self.on_function_enter: Optional[Callable[[Function], None]] = None
         self.on_function_exit: Optional[Callable[[Function], None]] = None
+        # A token of those callbacks' state.  Idle skipping compares it
+        # across loop iterations, and stays off while callbacks are
+        # installed without one.
+        self.callback_state: Optional[Callable[[], object]] = None
 
     # -- public API ----------------------------------------------------
 
@@ -237,6 +261,9 @@ class Interpreter:
 
         Compiled functions are therefore only entered with no pending
         IRQs and no active handler, and return whenever that changes.
+
+        The first dispatch after a quiet MMIO read tries an idle skip
+        (:meth:`_idle_skip`).
         """
         frames = self.frames
         machine = self.machine
@@ -252,6 +279,8 @@ class Interpreter:
                 fallbacks.value += 1
                 step()
                 continue
+            if machine._quiet_deadline:
+                self._idle_skip()
             frame = frames[-1]
             block = frame.block
             # Tier 3: a hot block entered at index 0 with SysTick
@@ -288,6 +317,82 @@ class Interpreter:
                 continue
             entries.value += 1
             fn(self, frame, machine, frame.index)
+
+    def _idle_skip(self) -> None:
+        """Fast-forward a polling loop that has reached a fixed point.
+
+        Runs at the first block dispatch after a quiet MMIO read and
+        snapshots the execution state there.  When the previous
+        snapshot (one loop iteration ago) holds the same state — frame
+        stack, ``sp``, privilege, enforcement epoch, SysTick schedule,
+        recorder sequence, histogram counts, hook and callback tokens,
+        and no store, SVC, switch, fault or non-quiet MMIO read since —
+        the iteration is a fixed point: every further iteration repeats
+        it exactly until a quiet read's deadline passes, SysTick fires,
+        or the instruction budget runs out.  ``k`` iterations below all
+        three caps are then charged at once: the cycles, instruction
+        count and every changed ``machine.metrics`` counter grow by
+        ``k`` times the measured per-iteration delta.  The loop then
+        runs normally across the boundary.
+        """
+        machine = self.machine
+        deadline = machine._quiet_deadline
+        machine._quiet_deadline = 0
+        counters = machine.metrics.counters
+        counts = (machine.cycles, self.instructions_executed,
+                  [cell.value for cell in counters.values()])
+        state = self._idle_state()
+        prev, self._idle_prev = self._idle_prev, (state, counts)
+        if state is None or prev is None or prev[0] != state:
+            return
+        cycles0, insts0, values0 = prev[1]
+        cycles1, insts1, values1 = counts
+        cycles = cycles1 - cycles0
+        insts = insts1 - insts0
+        k = (deadline - 1 - cycles1) // cycles
+        if machine._systick_armed:
+            k = min(k, (machine._systick_next - 1 - cycles1) // cycles)
+        k = min(k, (self.max_instructions - insts1) // insts)
+        if k <= 0:
+            return
+        machine.cycles = cycles1 + k * cycles
+        self.instructions_executed = insts1 + k * insts
+        for cell, before, after in zip(counters.values(), values0, values1):
+            if after != before:
+                cell.value = after + k * (after - before)
+        self._idle_prev = None
+        self._n_idle_skips.value += 1
+        self._n_idle_iterations.value += k
+        self._n_idle_cycles.value += k * cycles
+
+    def _idle_state(self):
+        """Everything an idle-skip fixed point must hold equal, or
+        ``None`` when enter/exit callbacks hide their state."""
+        if self.callback_state is None and (
+                self.on_function_enter is not None
+                or self.on_function_exit is not None):
+            return None
+        machine = self.machine
+        enforcement = machine.enforcement
+        recorder = machine.recorder
+        metrics = machine.metrics
+        return (
+            [(f.function, f.block, f.index, dict(f.regs), f.sp_entry,
+              f.switched, f.is_irq, f.call_site) for f in self.frames],
+            self.sp, machine.privileged, machine.base_privilege,
+            enforcement, enforcement.epoch,
+            # SysTick is the only IRQ source that needs no store, SVC,
+            # fault or non-quiet read: a tick moves ``_systick_next``.
+            machine._systick_armed, machine._systick_next,
+            [cell.value for cell in self._idle_events],
+            # Reads not reported quiet (the count only grows).
+            machine.memory.mmio_reads.value - machine._quiet_reads,
+            len(metrics.counters),
+            [hist.count for hist in metrics.histograms.values()],
+            None if recorder is None else recorder.seq,
+            self.hooks.idle_state(self),
+            None if self.callback_state is None else self.callback_state(),
+        )
 
     def _compile(self, block: BasicBlock):
         """First execution of ``block``: build (or fail) its closure."""

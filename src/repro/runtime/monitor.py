@@ -128,6 +128,11 @@ class OpecMonitor(RuntimeHooks):
         self._addr_cache[gvar] = address
         return address
 
+    def idle_state(self, interp) -> int:
+        # A cache miss above costs cycles and a load; between switches
+        # the cache only fills, so its size tells whether it changed.
+        return len(self._addr_cache)
+
     # -- operation switching (§5.3) -------------------------------------------
 
     def is_switch_point(self, interp, callee: Function) -> bool:

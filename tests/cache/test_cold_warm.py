@@ -79,6 +79,19 @@ def test_vanilla_warm_build_is_byte_identical(name, private_store):
     assert _memory_bytes(warm) == _memory_bytes(cold)
 
 
+def test_warm_vanilla_image_resolves_live_module_globals(private_store):
+    """A store-served image carries an unpickled copy of the module;
+    globals of the caller's live module must still resolve (by name)."""
+    app = workloads.build_app("PinLock", profile="quick")
+    key = app.module.get_global("KEY")
+    cold = build_vanilla(app.module, app.board)
+    warm = build_vanilla(app.module, app.board)
+    assert warm.module is not app.module  # served from the store
+    assert warm.global_address(key) == cold.global_address(key)
+    assert warm.global_address(key) == warm.global_address(
+        warm.module.get_global("KEY"))
+
+
 def test_run_results_are_cached_and_identical(private_store):
     cold = workloads.run_build("PinLock", "opec", profile="quick")
     before = cache.counters_snapshot()

@@ -116,9 +116,40 @@ def test_compute_all_rows_aggregates_compile_metrics(monkeypatch):
         compile_totals = rows["compile"]
         assert compile_totals.get("blockcompile.blocks_compiled", 0) > 0
         assert compile_totals.get("blockcompile.block_entries", 0) > 0
+        assert compile_totals.get("idle.skips", 0) > 0
         assert list(compile_totals) == sorted(compile_totals)
     finally:
         workloads.clear_caches()
+
+
+def test_idle_skip_counters_attribute_the_saving(monkeypatch):
+    """TCP-Echo/opec spends its waits in a fast-forwarded polling loop;
+    a generated campaign firmware polls no paced device and skips
+    nothing.  Both reach the telemetry envelope's compile counters."""
+    from repro.campaign.engine import CampaignConfig, evaluate_firmware
+    from repro.obs import fleet
+
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    monkeypatch.setenv("REPRO_BLOCKCOMPILE", "on")
+    workloads.clear_caches()
+    try:
+        token = fleet.begin_capture()
+        workloads.run_build("TCP-Echo", "opec", profile="quick",
+                            backend="mpu")
+        echo = fleet.end_capture(token).compile_counters
+        token = fleet.begin_capture()
+        evaluate_firmware(CampaignConfig(firmwares=1, attacks=("global",),
+                                         backends=("mpu",)), 0)
+        campaign = fleet.end_capture(token).compile_counters
+    finally:
+        workloads.clear_caches()
+    assert echo["idle.skips"] > 0
+    assert echo["idle.iterations_skipped"] > echo["idle.skips"]
+    assert echo["idle.cycles_skipped"] > 0
+    # Envelopes keep nonzero counters only: the campaign's interpreters
+    # did report (block entries), with no idle skip among them.
+    assert campaign["blockcompile.block_entries"] > 0
+    assert "idle.skips" not in campaign
 
 
 def test_compute_all_rows_parallel_merge_identical():

@@ -19,9 +19,13 @@ from repro.hw.peripherals import (
 class FakeMachine:
     def __init__(self):
         self.cycles = 0
+        self.quiet = []  # deadlines of reads reported quiet
 
     def consume(self, n):
         self.cycles += n
+
+    def quiet_read(self, deadline):
+        self.quiet.append(deadline)
 
 
 class TestUART:
@@ -31,11 +35,16 @@ class TestUART:
         uart.feed(b"ab")
         assert uart.mmio_read(UART.SR, 4) & UART.SR_RXNE
         assert uart.mmio_read(UART.DR, 4) == ord("a")
-        # Next byte not ready until 100 cycles elapse.
+        # Next byte not ready until 100 cycles elapse: the status read
+        # is quiet until then.
         assert not uart.mmio_read(UART.SR, 4) & UART.SR_RXNE
+        assert uart.machine.quiet == [100]
         uart.machine.cycles = 100
         assert uart.mmio_read(UART.SR, 4) & UART.SR_RXNE
         assert uart.mmio_read(UART.DR, 4) == ord("b")
+        # Ready and empty-queue reads are not quiet.
+        assert not uart.mmio_read(UART.SR, 4) & UART.SR_RXNE
+        assert uart.machine.quiet == [100]
 
     def test_tx_captured(self):
         uart = UART()
@@ -162,8 +171,10 @@ class TestNetwork:
         # Pacing: next frame hidden until the interval passes.
         mac.enqueue_frame(b"XY")
         assert mac.mmio_read(EthernetMAC.RX_STAT, 4) == 0
+        assert mac.machine.quiet == [10]  # quiet until the frame is due
         mac.machine.cycles = 10
         assert mac.mmio_read(EthernetMAC.RX_STAT, 4) == 1
+        assert mac.machine.quiet == [10]
 
     def test_tx_frame_assembled(self):
         mac = EthernetMAC()

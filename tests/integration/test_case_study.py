@@ -65,7 +65,7 @@ def test_attack_succeeds_on_vanilla():
 def test_attack_blocked_by_opec():
     app = pinlock.build(rounds=1, vulnerable=True)
     artifacts = build_opec(app.module, app.board, app.specs)
-    key = app.module.get_global("KEY")
+    key = artifacts.module.get_global("KEY")
     # KEY is shared by Key_Init and Unlock_Task -> external -> the
     # attacker can try the public original or Unlock_Task's shadow.
     public_address = artifacts.image.public_addresses[key]

@@ -11,10 +11,12 @@ and quantify it over all three enforcement backends, since the
 compiled fast path binds each backend's ``fast_allows`` closure.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.ir as ir
-from repro import run_image
+from repro import build_opec, build_vanilla, run_image
+from repro.apps import tcp_echo
 from repro.hw import Machine, stm32f4_discovery
 from repro.hw.backend import KNOWN_BACKENDS
 from repro.hw.exceptions import MachineError
@@ -152,3 +154,36 @@ def test_pinlock_opec_identical_on_every_backend():
         compiled = _observe_backend(image, app, backend, True)
         singlestep = _observe_backend(image, app, backend, False)
         assert compiled == singlestep, backend
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "opec"])
+def test_tcp_echo_idle_skipping_identical(kind):
+    """TCP-Echo spins in ``Rx_Task`` → ``ETH_Frames_Waiting`` between
+    paced frames; the compiled tier fast-forwards that loop, the
+    single-step reference never does, and every observable agrees."""
+    app = tcp_echo.build(valid=2, invalid=4)
+    if kind == "vanilla":
+        image = build_vanilla(app.module, app.board)
+    else:
+        image = build_opec(app.module, app.board, app.specs).image
+    observed = []
+    for block_compile in (True, False):
+        result = run_image(image, setup=app.setup,
+                           max_instructions=app.max_instructions,
+                           backend="mpu", block_compile=block_compile)
+        app.verify_run(result.machine, result.halt_code)
+        machine = result.machine
+        observed.append({
+            "outcome": result.halt_code,
+            "cycles": machine.cycles,
+            "instructions": result.interpreter.instructions_executed,
+            "metrics": machine.metrics.snapshot(),
+            "sram": machine.read_bytes(machine.sram.base,
+                                       machine.sram.size),
+            "skips": result.interpreter.compile_metrics.counter(
+                "idle.skips").value,
+        })
+    compiled, singlestep = observed
+    assert compiled.pop("skips") > 0
+    assert singlestep.pop("skips") == 0
+    assert compiled == singlestep

@@ -137,9 +137,10 @@ class TestWriteBackRefresh:
         op1 = artifacts.policy.operation_by_entry("t1")
         sync.update_relocation_table(op1)
         # t1 does not access b_var: its slot points at the public copy.
-        slot = artifacts.image.reloc_slots[module.get_global("b_var")]
+        built = artifacts.module.get_global("b_var")
+        slot = artifacts.image.reloc_slots[built]
         assert machine.read_direct(slot, 4) == \
-            artifacts.image.public_addresses[module.get_global("b_var")]
+            artifacts.image.public_addresses[built]
 
 
 class TestPointerRedirection:
