@@ -15,7 +15,6 @@ import repro.ir as ir
 from repro import build_opec, run_image
 from repro.apps import ACES_APPS
 from repro.eval.workloads import build_app, opec_artifacts
-from repro.hw.pmp import use_pmp
 from repro.image.mpu_config import covering_regions
 from repro.partition import OperationSpec
 from repro.partition.operations import merge_peripheral_windows
@@ -68,14 +67,10 @@ def test_protection_backend_ablation(benchmark, backend):
     app = build_app("PinLock")
     artifacts = opec_artifacts("PinLock")
 
-    def setup(machine):
-        if backend == "pmp":
-            use_pmp(machine)
-        app.setup(machine)
-
     def run():
-        return run_image(artifacts.image, setup=setup,
-                         max_instructions=app.max_instructions)
+        return run_image(artifacts.image, setup=app.setup,
+                         max_instructions=app.max_instructions,
+                         backend=backend)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     app.verify_run(result.machine, result.halt_code)

@@ -191,14 +191,10 @@ def _cmd_dump(args) -> int:
 
 def _cmd_profile(args) -> int:
     from .eval.profiler import profile_image
-    from .eval.workloads import build_app, opec_artifacts
-    from .pipeline import build_vanilla
+    from .eval.workloads import build_app, flavour_image
 
     app = build_app(args.app, profile=args.profile)
-    if args.build == "opec":
-        image = opec_artifacts(args.app, profile=args.profile).image
-    else:
-        image = build_vanilla(app.module, app.board)
+    image = flavour_image(args.app, args.build, args.profile)
     profile = profile_image(image, setup=app.setup,
                             max_instructions=app.max_instructions)
     print(profile.render(args.top))
@@ -238,16 +234,12 @@ def _cmd_cache(args) -> int:
 def _cmd_bench(args) -> int:
     import time
 
-    from .eval.workloads import build_app, opec_artifacts
+    from .eval.workloads import build_app, flavour_image
     from .interp.batch import DEFAULT_LANES, BatchRunner
-    from .pipeline import build_vanilla
 
     lanes = args.lanes if args.lanes is not None else DEFAULT_LANES
     app = build_app(args.app, profile=args.profile)
-    if args.build == "opec":
-        image = opec_artifacts(args.app, profile=args.profile).image
-    else:
-        image = build_vanilla(app.module, app.board)
+    image = flavour_image(args.app, args.build, args.profile)
     runner = BatchRunner()
     for _ in range(lanes):
         runner.add(image, setup=app.setup,

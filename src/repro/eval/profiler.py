@@ -120,17 +120,17 @@ class CycleProfiler:
 def profile_image(image: Image, *, hooks: Optional[RuntimeHooks] = None,
                   setup=None, entry: str = "main",
                   max_instructions: int = 100_000_000) -> Profile:
-    """Run ``image`` under the profiler and return the profile."""
-    from ..hw.machine import Machine
-    from ..image.linker import OpecImage
-    from ..runtime.monitor import OpecMonitor
+    """Run ``image`` under the profiler and return the profile.
 
-    machine = Machine(image.board)
-    if setup is not None:
-        setup(machine)
-    image.initialize_memory(machine)
-    if hooks is None and isinstance(image, OpecImage):
-        hooks = OpecMonitor(machine, image)
+    The machine and, with ``hooks=None``, the runtime are the ones
+    :func:`~repro.pipeline.run_image` would use, so the profile's total
+    equals that run's cycles for every image kind.
+    """
+    from ..pipeline import default_hooks, prepare_machine
+
+    machine = prepare_machine(image, setup=setup)
+    if hooks is None:
+        hooks = default_hooks(machine, image)
     interp = Interpreter(machine, image, hooks,
                          max_instructions=max_instructions)
     profiler = CycleProfiler(machine)

@@ -106,23 +106,11 @@ def record_app_trace(name: str, kind: str = "opec", *,
     ``REPRO_TRACE_BUF`` setting; ``backend`` to the ambient
     ``REPRO_BACKEND``.
     """
-    from .workloads import (
-        aces_artifacts,
-        active_profile,
-        build_app,
-        opec_artifacts,
-    )
+    from .workloads import active_profile, build_app, flavour_image
 
     profile = profile or active_profile()
     app = build_app(name, profile)
-    if kind == "vanilla":
-        from ..pipeline import build_vanilla
-
-        image = build_vanilla(app.module, app.board)
-    elif kind == "opec":
-        image = opec_artifacts(name, profile).image
-    else:
-        image = aces_artifacts(name, kind, profile).image
+    image = flavour_image(name, kind, profile)
     recorder = FlightRecorder(capacity if capacity is not None
                               else trace_capacity())
     result = run_image(image, setup=app.setup,

@@ -53,7 +53,6 @@ from .mpu import (
 from .overlay import (
     OverlayProtection,
     compile_regions_to_overlay,
-    use_overlay,
 )
 from .pmp import (
     NUM_PMP_ENTRIES,
@@ -62,7 +61,6 @@ from .pmp import (
     PmpProtection,
     compile_regions_to_pmp,
     napot_cover,
-    use_pmp,
 )
 
 __all__ = [
@@ -78,6 +76,6 @@ __all__ = [
     "MIN_REGION_SIZE", "MPU", "MPURegion", "NUM_REGIONS",
     "NUM_SUBREGIONS", "align_base", "is_power_of_two", "region_size_for",
     "NUM_PMP_ENTRIES", "PMP", "PMPEntry", "PmpProtection",
-    "compile_regions_to_pmp", "napot_cover", "use_pmp",
-    "OverlayProtection", "compile_regions_to_overlay", "use_overlay",
+    "compile_regions_to_pmp", "napot_cover",
+    "OverlayProtection", "compile_regions_to_overlay",
 ]

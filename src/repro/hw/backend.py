@@ -1,10 +1,11 @@
-"""The enforcement-backend interface (ROADMAP item 3, paper §7).
+"""The enforcement-backend core (ROADMAP item 3, paper §7).
 
 OPEC's design claims portability to any substrate with MPU-like
 physical memory permissions.  This module makes that claim a contract:
-:class:`EnforcementBackend` is the interface the monitor, the ACES
-baseline runtime, and the image pipeline program against, and three
-conformant backends live behind it:
+:class:`EnforcementBackend` is what the monitor, the ACES baseline
+runtime, and the image pipeline program against, and it implements
+every part of the contract that does not depend on the hardware.
+Three substrates specialise it:
 
 * ``mpu`` — the faithful ARMv7-M MPU (:class:`repro.hw.mpu.MPU`), the
   substrate every committed ``results/`` figure was produced on;
@@ -20,8 +21,7 @@ The contract has five parts:
 1. **region/overlay load** — ``load_configuration`` /  ``set_region`` /
    ``clear_region`` / ``get_region`` consume the backend-neutral policy
    language, :class:`repro.hw.mpu.MPURegion` descriptors (the output of
-   :mod:`repro.image.mpu_config`); each backend lowers them to its own
-   representation;
+   :mod:`repro.image.mpu_config`), kept in an 8-slot ``regions`` table;
 2. **per-access arbitration** — ``allows(address, size, privileged,
    write)``; for unprivileged accesses every backend must arbitrate
    identically (property-tested in
@@ -36,14 +36,19 @@ The contract has five parts:
    Figure 9 matrix;
 4. **snapshot/restore** — the opaque configuration capsule saved in
    operation context;
-5. **decision-cache epoch** — every configuration change must bump
-   ``epoch`` and drop any memoised verdicts (``invalidate``), so
+5. **decision-cache epoch** — every configuration change bumps
+   ``epoch`` and drops the memoised verdicts (``invalidate``), so
    cached arbitration never survives a reconfiguration.
+
+The base class implements parts 1, 2 (the memo around arbitration),
+4 and 5.  A substrate supplies only its costs (part 3), ``_lower`` —
+rebuilding its own representation from ``regions``, run once at
+construction and once per configuration change — and ``_arbitrate``,
+the uncached per-access check against that representation.
 """
 
 from __future__ import annotations
 
-import abc
 import os
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -56,15 +61,27 @@ KNOWN_BACKENDS = ("mpu", "pmp", "overlay")
 #: The substrate the committed ``results/`` were produced on.
 DEFAULT_BACKEND = "mpu"
 
+#: Slots in the policy language's region table (the ARMv7-M MPU's).
+NUM_REGIONS = 8
 
-class EnforcementBackend(abc.ABC):
+
+class EnforcementBackend:
     """One memory-isolation substrate (MPU / PMP / permission overlay).
 
-    Concrete backends carry three class-level identity/cost fields —
-    ``name``, ``switch_base_cost``, ``region_switch_cost`` — and two
-    instance fields — ``enabled`` (checked before any arbitration) and
-    ``epoch`` (the decision-cache generation; bumped by every
-    configuration change).
+    Holds the control bits (``enabled``, checked before any
+    arbitration, and ``privdefena``, the privileged default-map
+    fall-back), the ``regions`` table, and the verdict memo of the
+    current configuration ``epoch``.
+
+    Verdicts are memoised under ``(first-word, last-word, privileged,
+    write, privdefena)``.  Every substrate's region edges fall on
+    multiples of four bytes — MPU regions and sub-regions are at least
+    four bytes wide and aligned, PMP entries are NAPOT (≥ 4 bytes), the
+    overlay's intervals are sub-region edges — so the verdict for a
+    probe byte is constant across its aligned 4-byte word.
+    ``privileged`` is part of the key, so privilege changes need no
+    invalidation; ``enabled`` is re-checked on every call before the
+    memo is consulted.
     """
 
     #: Registry name (also the CLI/``REPRO_BACKEND`` spelling).
@@ -74,65 +91,116 @@ class EnforcementBackend(abc.ABC):
     #: Cycles charged for a fault-driven single-window remap.
     region_switch_cost: int = 0
 
+    def __init__(self, *, enabled: bool = False, privdefena: bool = True):
+        self.enabled = enabled
+        self.privdefena = privdefena
+        self.regions: list[Optional["MPURegion"]] = [None] * NUM_REGIONS
+        self.epoch = 0
+        self._decisions: dict = {}
+        self._lower()
+
     # -- configuration (the backend-neutral policy language) -----------
 
-    @abc.abstractmethod
     def load_configuration(self, regions: list["MPURegion"]) -> None:
         """Replace the whole configuration (operation switch, §5.3)."""
+        self.regions = [None] * NUM_REGIONS
+        for region in regions:
+            self.regions[region.number] = region
+        self._reconfigure()
 
-    @abc.abstractmethod
     def set_region(self, region: "MPURegion") -> None:
         """Install one region descriptor (fault-time virtualisation)."""
+        self.regions[region.number] = region
+        self._reconfigure()
 
-    @abc.abstractmethod
     def clear_region(self, number: int) -> None:
         """Remove the descriptor in slot ``number``."""
+        self.regions[number] = None
+        self._reconfigure()
 
-    @abc.abstractmethod
     def get_region(self, number: int) -> Optional["MPURegion"]:
         """The descriptor currently in slot ``number`` (or ``None``)."""
-
-    # -- arbitration ----------------------------------------------------
-
-    @abc.abstractmethod
-    def allows(self, address: int, size: int, privileged: bool,
-               write: bool) -> bool:
-        """Arbitrate one access of ``size`` bytes at ``address``."""
+        return self.regions[number]
 
     # -- context capsule ------------------------------------------------
 
-    @abc.abstractmethod
     def snapshot(self) -> list[Optional["MPURegion"]]:
         """Copy of the current configuration (operation context)."""
+        return list(self.regions)
 
-    @abc.abstractmethod
     def restore(self, snapshot: list[Optional["MPURegion"]]) -> None:
         """Reinstall a :meth:`snapshot` capsule."""
+        self.regions = list(snapshot)
+        self._reconfigure()
 
     # -- decision-cache epoch -------------------------------------------
 
-    @abc.abstractmethod
+    def _reconfigure(self) -> None:
+        """Lower the new ``regions`` table and start a new epoch."""
+        self._lower()
+        self.invalidate()
+
     def invalidate(self) -> None:
         """Start a new configuration epoch, dropping cached verdicts."""
+        self.epoch += 1
+        self._decisions = {}
 
-    # -- epoch-specialised arbitration ----------------------------------
+    # -- substrate hooks --------------------------------------------------
+
+    def _lower(self) -> None:
+        """Rebuild the substrate's representation of ``regions``.
+
+        The MPU arbitrates the table directly and keeps this no-op.
+        """
+
+    def _arbitrate(self, address: int, size: int, privileged: bool,
+                   write: bool) -> bool:
+        """The uncached check of the first and last probe byte."""
+        raise NotImplementedError
+
+    # -- arbitration ----------------------------------------------------
+
+    def allows(self, address: int, size: int, privileged: bool,
+               write: bool) -> bool:
+        """Arbitrate one access of ``size`` bytes at ``address``."""
+        if not self.enabled:
+            return True
+        key = (address >> 2, (address + size - 1) >> 2, privileged, write,
+               self.privdefena)
+        verdict = self._decisions.get(key)
+        if verdict is None:
+            verdict = self._arbitrate(address, size, privileged, write)
+            self._decisions[key] = verdict
+        return verdict
 
     def fast_allows(self):
         """An arbitration callable specialised for the current ``epoch``.
 
         The block compiler's fault-free load/store path calls the
-        returned callable instead of :meth:`allows`.  The contract: the
-        callable must arbitrate identically to :meth:`allows` for as
-        long as ``self.epoch`` keeps its current value — callers
-        re-validate ``(backend identity, epoch)`` before every use and
-        rebind after any mismatch (see ``Machine._refresh_fast_path``),
-        so a specialisation may capture structures that
-        :meth:`invalidate` replaces (e.g. the verdict memo dict) but
-        must read live any state that changes *without* an epoch bump
-        (``enabled``, ``privdefena``).  The default is :meth:`allows`
-        itself, which is trivially valid for every epoch.
+        returned callable instead of :meth:`allows`; it arbitrates
+        identically for as long as ``self.epoch`` keeps its current
+        value.  Callers re-validate ``(backend identity, epoch)`` before
+        every use and rebind after any mismatch (see
+        ``Machine._refresh_fast_path``).  The closure captures this
+        epoch's verdict memo and the arbitrator — ``invalidate``
+        *replaces* ``_decisions`` and ``_lower`` replaces the
+        representation, so neither can serve a later epoch — and reads
+        ``enabled`` and ``privdefena`` live, because they flip without
+        an epoch bump.
         """
-        return self.allows
+        def fast(address, size, privileged, write, _self=self,
+                 _decisions=self._decisions, _arbitrate=self._arbitrate):
+            if not _self.enabled:
+                return True
+            key = (address >> 2, (address + size - 1) >> 2, privileged,
+                   write, _self.privdefena)
+            verdict = _decisions.get(key)
+            if verdict is None:
+                verdict = _arbitrate(address, size, privileged, write)
+                _decisions[key] = verdict
+            return verdict
+
+        return fast
 
 
 BackendSpec = Union[str, EnforcementBackend]

@@ -1,4 +1,4 @@
-"""The simulated machine: memories + MPU + privilege + cycle counter.
+"""The simulated machine: memories + enforcement + privilege + cycles.
 
 Every load/store the interpreter performs goes through
 :meth:`Machine.load` / :meth:`Machine.store`, which apply the exact
@@ -6,7 +6,8 @@ checks the hardware would (§2):
 
 1. PPB addresses are privileged-only — unprivileged access raises
    :class:`BusFault` (the hook OPEC uses for core-peripheral emulation);
-2. the MPU arbitrates everything else — a denial raises
+2. the enforcement backend (MPU, PMP or overlay) arbitrates
+   everything else — a denial raises
    :class:`MemManageFault` (the hook for peripheral-region
    virtualisation);
 3. the access then reaches flash / SRAM / a device model.
@@ -95,9 +96,7 @@ class Machine:
     ``backend`` selects the memory-isolation substrate — a registry
     name (``"mpu"`` / ``"pmp"`` / ``"overlay"``) or a ready
     :class:`~repro.hw.backend.EnforcementBackend` instance.  It lives
-    in ``machine.enforcement``; ``machine.mpu`` remains as a
-    read/write alias because the MPU was the only substrate for most
-    of this codebase's life.
+    in ``machine.enforcement``.
     """
 
     def __init__(self, board: Board, backend: BackendSpec = DEFAULT_BACKEND):
@@ -161,20 +160,6 @@ class Machine:
 
     def device(self, name: str) -> MMIODevice:
         return self.devices[name]
-
-    # -- enforcement backend alias ------------------------------------
-    #
-    # Historical name: every caller said `machine.mpu` when the MPU was
-    # the only substrate.  The property keeps that spelling working
-    # (including `use_pmp`-style swaps) over the generic attribute.
-
-    @property
-    def mpu(self):
-        return self.enforcement
-
-    @mpu.setter
-    def mpu(self, backend) -> None:
-        self.enforcement = backend
 
     # -- privilege ----------------------------------------------------
     #
@@ -287,14 +272,6 @@ class Machine:
             self._n_memmanage.value += 1
             raise MemManageFault(address, size, True, value=value)
         self.memory.write(address, size, value)
-
-    def _check(self, address: int, size: int, write: bool, value: int = 0) -> None:
-        if Board.is_ppb(address) and not self.privileged:
-            self._n_bus_faults.value += 1
-            raise BusFault(address, size, write, value=value, is_ppb=True)
-        if not self.enforcement.allows(address, size, self.privileged, write):
-            self._n_memmanage.value += 1
-            raise MemManageFault(address, size, write, value=value)
 
     # -- unchecked accesses (privileged monitor / DMA / loader) ----------
 

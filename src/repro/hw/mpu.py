@@ -15,17 +15,16 @@ Implements the MPU semantics the whole OPEC design hinges on (§2.2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .backend import EnforcementBackend
+from .backend import NUM_REGIONS, EnforcementBackend
 
 ACCESS_NONE = "NA"
 ACCESS_READ = "RO"
 ACCESS_READWRITE = "RW"
 
 MIN_REGION_SIZE = 32
-NUM_REGIONS = 8
 NUM_SUBREGIONS = 8
 
 
@@ -110,23 +109,11 @@ class MPURegion:
         return True
 
 
-@dataclass
 class MPU(EnforcementBackend):
     """The MPU: eight region slots plus the control register bits.
 
-    Arbitration results are memoised in a decision cache.  Region
-    boundaries (base, end, every sub-region edge) all fall on multiples
-    of four bytes — the minimum region size is 32 and sub-regions are
-    an eighth of a power-of-two size — so the verdict for a probe byte
-    is constant across its aligned 4-byte word.  A decision is
-    therefore cached under ``(first-word, last-word, privileged,
-    write, privdefena)`` and stays valid until the region
-    configuration changes:
-    ``set_region`` / ``clear_region`` / ``load_configuration`` /
-    ``restore`` start a new configuration epoch and drop the cache.
-    ``privileged`` is part of the key, so privilege changes need no
-    invalidation; ``enabled`` is re-checked on every call before the
-    cache is consulted.
+    Arbitrates the base class's ``regions`` table directly — there is
+    no lowering step — with the §2.2 highest-numbered-region scan.
     """
 
     # EnforcementBackend identity + cost model.  A full reconfiguration
@@ -139,37 +126,6 @@ class MPU(EnforcementBackend):
     switch_base_cost = 60
     region_switch_cost = 40
 
-    enabled: bool = False
-    privdefena: bool = True
-    regions: list[Optional[MPURegion]] = field(
-        default_factory=lambda: [None] * NUM_REGIONS
-    )
-    epoch: int = field(default=0, repr=False, compare=False)
-    _decisions: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def invalidate(self) -> None:
-        """Start a new region-configuration epoch, dropping the cache."""
-        self.epoch += 1
-        self._decisions = {}
-
-    def set_region(self, region: MPURegion) -> None:
-        self.regions[region.number] = region
-        self.invalidate()
-
-    def clear_region(self, number: int) -> None:
-        self.regions[number] = None
-        self.invalidate()
-
-    def get_region(self, number: int) -> Optional[MPURegion]:
-        return self.regions[number]
-
-    def load_configuration(self, regions: list[MPURegion]) -> None:
-        """Replace the full region set (operation switch, §5.3)."""
-        self.regions = [None] * NUM_REGIONS
-        for region in regions:
-            self.regions[region.number] = region
-        self.invalidate()
-
     def matching_region(self, address: int) -> Optional[MPURegion]:
         """Highest-numbered enabled region claiming ``address``."""
         for region in reversed(self.regions):
@@ -177,48 +133,13 @@ class MPU(EnforcementBackend):
                 return region
         return None
 
-    def allows(self, address: int, size: int, privileged: bool,
-               write: bool) -> bool:
-        """Check an access of ``size`` bytes starting at ``address``.
+    def _arbitrate(self, address: int, size: int, privileged: bool,
+                   write: bool) -> bool:
+        """The uncached §2.2 arbitration (first and last probe byte).
 
         Both the first and last byte are checked so accesses straddling
         a sub-region or region boundary are confined correctly.
         """
-        if not self.enabled:
-            return True
-        key = (address >> 2, (address + size - 1) >> 2, privileged, write,
-               self.privdefena)
-        verdict = self._decisions.get(key)
-        if verdict is None:
-            verdict = self._arbitrate(address, size, privileged, write)
-            self._decisions[key] = verdict
-        return verdict
-
-    def fast_allows(self):
-        """Epoch-scoped arbitration closure (base-class contract).
-
-        Captures this epoch's verdict memo and the arbitrator directly;
-        ``invalidate`` *replaces* ``_decisions``, so the captured dict
-        can never serve a later epoch.  ``enabled`` and ``privdefena``
-        flip without an epoch bump and are read live.
-        """
-        def fast(address, size, privileged, write, _self=self,
-                 _decisions=self._decisions, _arbitrate=self._arbitrate):
-            if not _self.enabled:
-                return True
-            key = (address >> 2, (address + size - 1) >> 2, privileged,
-                   write, _self.privdefena)
-            verdict = _decisions.get(key)
-            if verdict is None:
-                verdict = _arbitrate(address, size, privileged, write)
-                _decisions[key] = verdict
-            return verdict
-
-        return fast
-
-    def _arbitrate(self, address: int, size: int, privileged: bool,
-                   write: bool) -> bool:
-        """The uncached §2.2 arbitration (first and last probe byte)."""
         last = address + size - 1
         for probe in (address, last) if last != address else (address,):
             region = self.matching_region(probe)
@@ -229,11 +150,3 @@ class MPU(EnforcementBackend):
             if not region.permits(privileged, write):
                 return False
         return True
-
-    def snapshot(self) -> list[Optional[MPURegion]]:
-        """Copy of the current region set (saved in operation context)."""
-        return list(self.regions)
-
-    def restore(self, snapshot: list[Optional[MPURegion]]) -> None:
-        self.regions = list(snapshot)
-        self.invalidate()

@@ -10,19 +10,20 @@ primitive.
 
 :class:`OverlayProtection` models that substrate for OPEC:
 
-* ``load_configuration`` *compiles* the backend-neutral
-  :class:`~repro.hw.mpu.MPURegion` set into one flat permission table —
+* every configuration change *compiles* (``_lower``) the
+  backend-neutral :class:`~repro.hw.mpu.MPURegion` set into one flat
+  permission table —
   disjoint address intervals, each carrying the resolved
   (privileged, unprivileged) access pair of the highest-priority
   claiming region.  This is the overlay-tagging step; in hardware it
   happens once per operation at image-load time, so the modelled
   *switch* cost is a single register write plus a barrier;
-* ``allows`` arbitrates by binary search over the interval table —
+* ``_arbitrate`` is a binary search over the interval table —
   semantically identical to the MPU's highest-region-wins scan
   (including sub-region fall-through and ``PRIVDEFENA``), which the
   differential property suite pins across all backends;
-* verdicts are memoised under the same word-granular key as the other
-  backends and dropped on every configuration epoch.
+* the shared core (:class:`~repro.hw.backend.EnforcementBackend`)
+  memoises verdicts and drops them on every configuration epoch.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from bisect import bisect_right
 from typing import Optional
 
 from .backend import EnforcementBackend
-from .mpu import ACCESS_NONE, ACCESS_READWRITE, MPURegion, NUM_REGIONS
+from .mpu import ACCESS_NONE, ACCESS_READWRITE, MPURegion
 
 
 def compile_regions_to_overlay(
@@ -81,74 +82,8 @@ class OverlayProtection(EnforcementBackend):
     switch_base_cost = 16
     region_switch_cost = 12
 
-    def __init__(self):
-        self.enabled = False
-        self.privdefena = True
-        self.regions: list[Optional[MPURegion]] = [None] * NUM_REGIONS
-        self.epoch = 0
-        self._decisions: dict = {}
-        self._starts: list[int] = [0]
-        self._perms: list[Optional[tuple[str, str]]] = [None]
-        self._recompile()
-
-    def invalidate(self) -> None:
-        """Start a new configuration epoch, dropping cached verdicts."""
-        self.epoch += 1
-        self._decisions = {}
-
-    # -- configuration -----------------------------------------------------
-
-    def set_region(self, region: MPURegion) -> None:
-        self.regions[region.number] = region
-        self._recompile()
-
-    def clear_region(self, number: int) -> None:
-        self.regions[number] = None
-        self._recompile()
-
-    def get_region(self, number: int) -> Optional[MPURegion]:
-        return self.regions[number]
-
-    def load_configuration(self, regions: list[MPURegion]) -> None:
-        self.regions = [None] * NUM_REGIONS
-        for region in regions:
-            self.regions[region.number] = region
-        self._recompile()
-
-    # -- arbitration ----------------------------------------------------
-
-    def allows(self, address: int, size: int, privileged: bool,
-               write: bool) -> bool:
-        if not self.enabled:
-            return True
-        key = (address >> 2, (address + size - 1) >> 2, privileged, write,
-               self.privdefena)
-        verdict = self._decisions.get(key)
-        if verdict is None:
-            verdict = self._arbitrate(address, size, privileged, write)
-            self._decisions[key] = verdict
-        return verdict
-
-    def fast_allows(self):
-        """Epoch-scoped arbitration closure (base-class contract).
-
-        ``_recompile`` replaces the interval table and invalidates, so
-        the captured memo and table are epoch-safe; ``enabled`` and
-        ``privdefena`` are read live.
-        """
-        def fast(address, size, privileged, write, _self=self,
-                 _decisions=self._decisions, _arbitrate=self._arbitrate):
-            if not _self.enabled:
-                return True
-            key = (address >> 2, (address + size - 1) >> 2, privileged,
-                   write, _self.privdefena)
-            verdict = _decisions.get(key)
-            if verdict is None:
-                verdict = _arbitrate(address, size, privileged, write)
-                _decisions[key] = verdict
-            return verdict
-
-        return fast
+    def _lower(self) -> None:
+        self._starts, self._perms = compile_regions_to_overlay(self.regions)
 
     def _arbitrate(self, address: int, size: int, privileged: bool,
                    write: bool) -> bool:
@@ -166,25 +101,3 @@ class OverlayProtection(EnforcementBackend):
             if write and access != ACCESS_READWRITE:
                 return False
         return True
-
-    # -- context capsule ------------------------------------------------
-
-    def snapshot(self) -> list[Optional[MPURegion]]:
-        return list(self.regions)
-
-    def restore(self, snapshot: list[Optional[MPURegion]]) -> None:
-        self.regions = list(snapshot)
-        self._recompile()
-
-    # -- internals ------------------------------------------------------
-
-    def _recompile(self) -> None:
-        self._starts, self._perms = compile_regions_to_overlay(self.regions)
-        self.invalidate()
-
-
-def use_overlay(machine) -> OverlayProtection:
-    """Swap a machine's enforcement for the overlay backend."""
-    overlay = OverlayProtection()
-    machine.enforcement = overlay
-    return overlay

@@ -26,14 +26,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .backend import EnforcementBackend
-from .mpu import ACCESS_READ, ACCESS_READWRITE, MPURegion
+from .mpu import ACCESS_READ, ACCESS_READWRITE, MPURegion, is_power_of_two
 
 NUM_PMP_ENTRIES = 16
 MIN_GRAIN = 4  # NA4: the architectural minimum
-
-
-def is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -185,19 +181,10 @@ def compile_regions_to_pmp(
 class PmpProtection(EnforcementBackend):
     """The PMP :class:`~repro.hw.backend.EnforcementBackend` (§7 port).
 
-    Consumes the same :class:`MPURegion` policy language as the MPU —
-    ``set_region`` / ``clear_region`` / ``load_configuration`` /
-    ``allows`` / ``snapshot`` / ``restore`` — while enforcing through
-    compiled PMP entries, so the monitor runs unchanged.
-
-    Arbitration verdicts are memoised exactly like the MPU's: every
-    PMP entry boundary is NAPOT-aligned (≥ 4 bytes), so a verdict is
-    constant across an aligned 4-byte word and is cached under
-    ``(first-word, last-word, privileged, write, privdefena)`` until
-    the next configuration epoch.  Without this cache every PMP run
-    re-scanned up to 16 entries per access — structurally slower than
-    the MPU backend for reasons that have nothing to do with the
-    modelled hardware.
+    Consumes the same :class:`MPURegion` policy language as the MPU and
+    enforces it through compiled PMP entries, so the monitor runs
+    unchanged.  ``privdefena`` plays M-mode's default-map role for
+    accesses that match no entry.
     """
 
     # Cost model: a full reconfiguration writes up to 16 pmpaddr CSRs
@@ -208,96 +195,13 @@ class PmpProtection(EnforcementBackend):
     switch_base_cost = 84
     region_switch_cost = 52
 
-    def __init__(self):
-        self.enabled = False
-        self.privdefena = True  # M-mode default map == unlocked bypass
-        self.regions: list[Optional[MPURegion]] = [None] * 8
-        self.pmp = PMP()
-        self.epoch = 0
-        self._decisions: dict = {}
-        self._recompile()
-
-    def invalidate(self) -> None:
-        """Start a new configuration epoch, dropping cached verdicts."""
-        self.epoch += 1
-        self._decisions = {}
-
-    # -- configuration -----------------------------------------------------
-
-    def set_region(self, region: MPURegion) -> None:
-        self.regions[region.number] = region
-        self._recompile()
-
-    def clear_region(self, number: int) -> None:
-        self.regions[number] = None
-        self._recompile()
-
-    def get_region(self, number: int) -> Optional[MPURegion]:
-        return self.regions[number]
-
-    def load_configuration(self, regions: list[MPURegion]) -> None:
-        self.regions = [None] * 8
-        for region in regions:
-            self.regions[region.number] = region
-        self._recompile()
-
-    def allows(self, address: int, size: int, privileged: bool,
-               write: bool) -> bool:
-        if not self.enabled:
-            return True
-        privdefena = self.privdefena
-        key = (address >> 2, (address + size - 1) >> 2, privileged, write,
-               privdefena)
-        verdict = self._decisions.get(key)
-        if verdict is None:
-            verdict = self.pmp.allows(address, size, privileged, write,
-                                      privdefena)
-            self._decisions[key] = verdict
-        return verdict
-
-    def fast_allows(self):
-        """Epoch-scoped arbitration closure (base-class contract).
-
-        ``_recompile`` both rebuilds ``self.pmp`` and calls
-        ``invalidate``, so capturing the entry scanner alongside the
-        verdict memo is epoch-safe; ``enabled``/``privdefena`` are
-        read live (they flip without an epoch bump).
-        """
-        def fast(address, size, privileged, write, _self=self,
-                 _decisions=self._decisions, _scan=self.pmp.allows):
-            if not _self.enabled:
-                return True
-            privdefena = _self.privdefena
-            key = (address >> 2, (address + size - 1) >> 2, privileged,
-                   write, privdefena)
-            verdict = _decisions.get(key)
-            if verdict is None:
-                verdict = _scan(address, size, privileged, write,
-                                privdefena)
-                _decisions[key] = verdict
-            return verdict
-
-        return fast
-
-    def snapshot(self) -> list[Optional[MPURegion]]:
-        return list(self.regions)
-
-    def restore(self, snapshot: list[Optional[MPURegion]]) -> None:
-        self.regions = list(snapshot)
-        self._recompile()
-
-    # -- internals ---------------------------------------------------------------
-
-    def _recompile(self) -> None:
+    def _lower(self) -> None:
         entries = compile_regions_to_pmp(self.regions)
         self.pmp = PMP(enabled=True)
         for index, entry in enumerate(entries):
             self.pmp.set_entry(index, entry)
-        self.invalidate()
 
-
-def use_pmp(machine) -> PmpProtection:
-    """Swap a machine's MPU for the PMP backend (RISC-V port demo)."""
-    pmp = PmpProtection()
-    machine.mpu = pmp
-    return pmp
+    def _arbitrate(self, address: int, size: int, privileged: bool,
+                   write: bool) -> bool:
+        return self.pmp.allows(address, size, privileged, write,
+                               self.privdefena)

@@ -530,12 +530,6 @@ class Interpreter:
 
     # -- faulting memory access with handler retry ------------------------
 
-    def _access(self, operation: Callable[[], Optional[int]]) -> Optional[int]:
-        try:
-            return operation()
-        except (MemManageFault, BusFault) as fault:
-            return self._retry_access(operation, fault)
-
     def _retry_access(self, operation: Callable[[], Optional[int]],
                       fault: Exception) -> Optional[int]:
         """Consult the monitor about ``fault``, then retry ``operation``.

@@ -36,7 +36,7 @@ def test_opec_run_matches_vanilla(name):
     app.verify_run(opec.machine, opec.halt_code)
     assert opec.halt_code == vanilla.halt_code
     # Isolation really was on.
-    assert opec.machine.mpu.enabled
+    assert opec.machine.enforcement.enabled
     assert not opec.machine.base_privilege
     assert opec.hooks.switch_count > 0
 

@@ -3,7 +3,8 @@
 import pytest
 
 import repro.ir as ir
-from repro import build_opec, build_vanilla
+from repro import build_opec, build_vanilla, run_image
+from repro.baselines import build_aces
 from repro.eval.profiler import FunctionProfile, Profile, profile_image
 from repro.hw import stm32f4_discovery
 from repro.ir import I32, VOID
@@ -57,6 +58,13 @@ class TestProfiler:
         assert opec.halt_code == vanilla.halt_code
         assert opec.functions["main"].self_cycles > \
             vanilla.functions["main"].self_cycles
+
+    def test_aces_profile_runs_under_the_aces_runtime(self, board):
+        """Regression: ACES images were profiled without their runtime,
+        so no compartment switch was charged and the MPU stayed off."""
+        image = build_aces(build_mini_module(), board, "ACES2").image
+        profile = profile_image(image)
+        assert profile.total_cycles == run_image(image).cycles
 
     def test_render(self, board):
         profile = profile_image(build_vanilla(_heavy_module(), board))

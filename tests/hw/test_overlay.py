@@ -3,11 +3,7 @@
 import pytest
 
 from repro.hw.mpu import MPU, MPURegion
-from repro.hw.overlay import (
-    OverlayProtection,
-    compile_regions_to_overlay,
-    use_overlay,
-)
+from repro.hw.overlay import OverlayProtection, compile_regions_to_overlay
 from repro.hw.pmp import PmpProtection
 
 
@@ -82,18 +78,6 @@ class TestSemantics:
         assert overlay.allows(0x200000FC, 4, False, True)
         assert not overlay.allows(0x200000FE, 4, False, True)
 
-    def test_decision_cache_dropped_on_configuration_epoch(self):
-        region = MPURegion(number=2, base=0x20000000, size=0x100,
-                           priv="RW", unpriv="RW")
-        overlay = self._overlay(region)
-        epoch = overlay.epoch
-        assert overlay.allows(0x20000010, 4, False, True)
-        assert overlay._decisions
-        overlay.clear_region(2)
-        assert overlay.epoch == epoch + 1
-        assert not overlay._decisions
-        assert not overlay.allows(0x20000010, 4, False, True)
-
     def test_snapshot_restore_roundtrip(self):
         region = MPURegion(number=4, base=0x20000000, size=0x100,
                            priv="RW", unpriv="RO")
@@ -152,4 +136,4 @@ class TestEndToEnd:
         block.instructions.append(ret)
         artifacts = build_opec(module, stm32f4_discovery(), MINI_SPECS)
         with pytest.raises(SecurityAbort):
-            run_image(artifacts.image, setup=lambda m: use_overlay(m))
+            run_image(artifacts.image, backend="overlay")

@@ -11,7 +11,6 @@ from repro.hw.pmp import (
     PmpProtection,
     compile_regions_to_pmp,
     napot_cover,
-    use_pmp,
 )
 
 
@@ -144,20 +143,6 @@ class TestPmpProtectionSemantics:
         # Unprivileged no-match is denied either way.
         assert not adapter.allows(0x20000000, 4, False, False)
 
-    def test_decision_cache_dropped_on_configuration_epoch(self):
-        adapter = PmpProtection()
-        adapter.enabled = True
-        region = MPURegion(number=2, base=0x20000000, size=0x100,
-                           priv="RW", unpriv="RW")
-        adapter.set_region(region)
-        epoch = adapter.epoch
-        assert adapter.allows(0x20000010, 4, False, True)
-        assert adapter._decisions  # verdict memoised
-        adapter.clear_region(2)
-        assert adapter.epoch == epoch + 1
-        assert not adapter._decisions
-        assert not adapter.allows(0x20000010, 4, False, True)
-
     def test_snapshot_restore_roundtrip(self):
         adapter = PmpProtection()
         adapter.enabled = True
@@ -221,14 +206,11 @@ class TestEndToEnd:
         app = pinlock.build(rounds=2)
         artifacts = build_opec(app.module, app.board, app.specs)
 
-        def setup(machine):
-            use_pmp(machine)
-            app.setup(machine)
-
-        result = run_image(artifacts.image, setup=setup,
-                           max_instructions=app.max_instructions)
+        result = run_image(artifacts.image, setup=app.setup,
+                           max_instructions=app.max_instructions,
+                           backend="pmp")
         app.verify_run(result.machine, result.halt_code)
-        assert isinstance(result.machine.mpu, PmpProtection)
+        assert isinstance(result.machine.enforcement, PmpProtection)
 
     def test_isolation_still_enforced_on_pmp(self):
         import repro.ir as ir
@@ -250,4 +232,4 @@ class TestEndToEnd:
         block.instructions.append(ret)
         artifacts = build_opec(module, stm32f4_discovery(), MINI_SPECS)
         with pytest.raises(SecurityAbort):
-            run_image(artifacts.image, setup=lambda m: use_pmp(m))
+            run_image(artifacts.image, backend="pmp")
