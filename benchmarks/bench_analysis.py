@@ -43,8 +43,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro import config  # noqa: E402
 from repro.eval.workloads import APP_NAMES, build_app  # noqa: E402
-from repro.fanout import env_jobs  # noqa: E402
 from repro.pipeline import build_opec  # noqa: E402
 
 
@@ -109,7 +109,7 @@ def _pass_report(wall: float, counters: dict) -> dict:
 def bench_harness() -> dict:
     import tempfile
 
-    jobs = env_jobs()
+    jobs = config.current().jobs
     report = {"profile": "quick", "jobs": jobs}
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cold, cold_counters = _timed_rows(1, tmp)

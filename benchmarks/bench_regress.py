@@ -107,7 +107,7 @@ def _check_identical(name: str, compiled: dict, reference: dict) -> None:
 
 
 def _run_module(module, *, block_compile: bool,
-                trace_fuse=None) -> dict:
+                trace_fuse: bool = True) -> dict:
     board = stm32f4_discovery()
     image = build_vanilla_image(module, board)
     machine = Machine(board)

@@ -21,9 +21,7 @@ from .digest import (
 from .store import (
     ArtifactStore,
     CacheCounters,
-    DEFAULT_ROOT,
     active_store,
-    cache_root,
     counters_delta,
     counters_snapshot,
     reset_store_state,
@@ -33,10 +31,8 @@ __all__ = [
     "ArtifactStore",
     "CacheCounters",
     "CACHE_SCHEMA_VERSION",
-    "DEFAULT_ROOT",
     "active_store",
     "build_digest",
-    "cache_root",
     "clear_digest_memos",
     "counters_delta",
     "counters_snapshot",

@@ -17,13 +17,10 @@ pid-suffixed temp file followed by :func:`os.replace`, so the
 concurrent worker processes of :func:`repro.fanout.fanout` can share
 one store without ever observing a half-written entry.
 
-Configuration (read per call, so tests can monkeypatch):
-
-* ``REPRO_CACHE`` unset → ``.repro-cache/`` under the current
-  directory;
-* ``REPRO_CACHE=<dir>`` → that directory;
-* ``REPRO_CACHE=off`` (or ``0`` / ``none`` / ``disabled``) → caching
-  bypassed entirely (:func:`active_store` returns ``None``).
+The store root comes from ``REPRO_CACHE`` (:mod:`repro.config`),
+read on every :func:`active_store` call: a directory, ``.repro-cache/``
+under the current directory when unset, or ``off`` to bypass caching
+(:func:`active_store` then returns ``None``).
 """
 
 from __future__ import annotations
@@ -36,13 +33,12 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
+from .. import config
 from ..obs.events import CACHE_HIT, CACHE_MISS, CACHE_STORE, DOMAIN_HOST
 from ..obs.recorder import active_recorder
 from .digest import pipeline_fingerprint
 
 _MAGIC = b"opec-cache-v1"
-_OFF_VALUES = frozenset({"off", "0", "none", "disabled", "false"})
-DEFAULT_ROOT = ".repro-cache"
 
 
 @dataclass
@@ -231,22 +227,15 @@ class ArtifactStore:
 _stores: dict[tuple[str, str], ArtifactStore] = {}
 
 
-def cache_root() -> Optional[Path]:
-    """The configured store root, or ``None`` when caching is off."""
-    raw = os.environ.get("REPRO_CACHE", "").strip()
-    if raw.lower() in _OFF_VALUES:
-        return None
-    return Path(raw) if raw else Path(DEFAULT_ROOT)
-
-
 def active_store() -> Optional[ArtifactStore]:
     """The process-wide store for the current configuration.
 
     Instances are memoised per (root, fingerprint) so counters
     accumulate for the lifetime of the process; the environment is
-    re-read on every call so tests can flip ``REPRO_CACHE``.
+    re-read on every call so tests and benchmarks can flip
+    ``REPRO_CACHE`` mid-process.
     """
-    root = cache_root()
+    root = config.current().cache
     if root is None:
         return None
     key = (str(root), pipeline_fingerprint())

@@ -110,7 +110,7 @@ def _dispatch_slot_address(firmware: GeneratedFirmware,
         # operation, which is exactly why the *payload*, not the
         # corruption, is what OPEC must contain.
         operation = image.policy.operation_by_entry(firmware.victim)
-        shadow = image.shadow_addresses.get((operation.index, table))
+        shadow = image.shadow_addresses.get((operation.index, table.name))
         if shadow is not None:
             return shadow + slot_offset
         public = image.public_addresses.get(table)

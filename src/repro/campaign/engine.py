@@ -38,14 +38,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import cache
+from .. import config as run_config
 from ..baselines import build_aces
 from ..eval.metrics import pt_value
 from ..fanout import fanout
 from ..interp.batch import BatchRunner, LaneFailure
 from ..obs import fleet
 from ..obs.events import FLEET_FIRMWARE
-from ..obs.recorder import FlightRecorder, active_recorder, install, \
-    trace_capacity
+from ..obs.recorder import FlightRecorder, active_recorder, install
 from ..pipeline import build_opec, build_vanilla
 from .attacks import ATTACK_KINDS, attack_setup, resolve_attack
 from .generator import GeneratedFirmware, generate_firmware
@@ -318,7 +318,7 @@ def _firmware_worker(
     simulated metrics, and — under ``config.telemetry_trace`` — its
     ``fleet.firmware`` wall-clock span."""
     config, index = job
-    recorder = FlightRecorder(trace_capacity()) \
+    recorder = FlightRecorder(run_config.current().trace_buf) \
         if config.telemetry_trace else None
     previous = install(recorder) if recorder is not None else None
     token = fleet.begin_capture()

@@ -34,7 +34,9 @@ Usage (``python -m repro.cli <command>``):
 ``--backend`` is threaded through the call stack as an explicit
 parameter; the CLI never mutates ``os.environ`` (a regression test
 pins this), so library callers of these command functions cannot leak
-a backend choice into unrelated work in the same process.
+a backend choice into unrelated work in the same process.  Every verb
+validates the ``REPRO_*`` knobs (:mod:`repro.config`) before it runs,
+so a misspelt value exits with status 2 and names the knob.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-#: Mirrors :data:`repro.hw.backend.KNOWN_BACKENDS`; spelled out here so
-#: building the parser does not import the package (a test pins the
-#: parity).
-BACKEND_CHOICES = ["mpu", "pmp", "overlay"]
+from . import config
+
+BACKEND_CHOICES = list(config.KNOWN_BACKENDS)
 
 
 def _cmd_list(_args) -> int:
@@ -131,10 +132,9 @@ def _cmd_eval(args) -> int:
 def _cmd_trace(args) -> int:
     from .eval.tracing import record_app_trace
     from .obs import chrome_trace, event_tsv, trace_summary
-    from .obs.recorder import validate_capacity
 
     if args.buf is not None:
-        validate_capacity(args.buf, "--buf")
+        config.positive_int(args.buf, "ring capacity", "--buf")
     recorder, result = record_app_trace(
         args.app, args.build, profile=args.profile, capacity=args.buf,
         backend=args.backend)
@@ -267,18 +267,17 @@ def _cmd_bench(args) -> int:
 def _cmd_campaign(args) -> int:
     from .campaign import (CampaignConfig, render_report, report_rows,
                            run_campaign)
-    from .fanout import validate_jobs
     from .obs.fleet import telemetry_summary
 
-    config = CampaignConfig(
+    campaign = CampaignConfig(
         seed=args.seed,
         firmwares=args.firmwares,
         attacks=tuple(args.attacks),
         backends=tuple(args.backends),
         jobs=None if args.jobs is None
-        else validate_jobs(args.jobs, "--jobs"),
+        else config.positive_int(args.jobs, "worker count", "--jobs"),
     )
-    result = run_campaign(config)
+    result = run_campaign(campaign)
     text = render_report(result)
     if args.output:
         rows = report_rows(result)
@@ -302,14 +301,12 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_fleet(args) -> int:
-    from .fanout import validate_jobs
     from .obs import fleet
-    from .obs.recorder import validate_capacity
 
     jobs = None if args.jobs is None \
-        else validate_jobs(args.jobs, "--jobs")
+        else config.positive_int(args.jobs, "worker count", "--jobs")
     capacity = None if args.buf is None \
-        else validate_capacity(args.buf, "--buf")
+        else config.positive_int(args.buf, "ring capacity", "--buf")
     result = fleet.run_fleet(
         args.target, jobs=jobs, profile=args.profile,
         backends=tuple(args.backends) if args.backends else None,
@@ -515,6 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # Every verb rejects a bad REPRO_* knob before doing any work.
+    try:
+        config.current()
+    except ValueError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .. import config
 from ..image.layout import Image
 from ..interp.interpreter import Interpreter
 from ..ir.function import Function
-from ..obs.recorder import FlightRecorder, trace_capacity
+from ..obs.recorder import FlightRecorder
 from ..pipeline import RunResult, run_image
 
 
@@ -106,13 +107,14 @@ def record_app_trace(name: str, kind: str = "opec", *,
     ``REPRO_TRACE_BUF`` setting; ``backend`` to the ambient
     ``REPRO_BACKEND``.
     """
-    from .workloads import active_profile, build_app, flavour_image
+    from .workloads import build_app, flavour_image
 
-    profile = profile or active_profile()
+    settings = config.current()
+    profile = profile or settings.profile
     app = build_app(name, profile)
     image = flavour_image(name, kind, profile)
     recorder = FlightRecorder(capacity if capacity is not None
-                              else trace_capacity())
+                              else settings.trace_buf)
     result = run_image(image, setup=app.setup,
                        max_instructions=app.max_instructions,
                        recorder=recorder, backend=backend)

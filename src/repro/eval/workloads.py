@@ -22,29 +22,17 @@ is byte-identical for any ``REPRO_JOBS``.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from .. import cache
+from .. import cache, config
 from ..apps import ACES_APPS, ALL_APPS, Application
 from ..obs import fleet
 from ..apps import coremark, pinlock
 from ..baselines import AcesArtifacts, build_aces
 from ..fanout import fanout
-from ..hw.backend import active_backend
 from ..pipeline import BuildArtifacts, RunResult, build_opec, build_vanilla, run_image
 
 APP_NAMES = tuple(ALL_APPS)
-
-#: The workload profiles the harness understands.  ``build_app``
-#: validates against this set so an ``REPRO_PROFILE`` typo fails loudly
-#: instead of silently handing PinLock/CoreMark the quick rounds.
-KNOWN_PROFILES = ("paper", "quick")
-
-
-def active_profile() -> str:
-    return os.environ.get("REPRO_PROFILE", "paper")
-
 
 _app_cache: dict[tuple[str, str], Application] = {}
 _opec_cache: dict[tuple[str, str], BuildArtifacts] = {}
@@ -69,11 +57,11 @@ def clear_caches() -> None:
 
 
 def build_app(name: str, profile: Optional[str] = None) -> Application:
-    profile = profile or active_profile()
-    if profile not in KNOWN_PROFILES:
+    profile = profile or config.current().profile
+    if profile not in config.KNOWN_PROFILES:
         raise ValueError(
-            f"unknown workload profile {profile!r} (REPRO_PROFILE): "
-            f"expected one of {', '.join(KNOWN_PROFILES)}")
+            f"unknown workload profile {profile!r}: "
+            f"expected one of {', '.join(config.KNOWN_PROFILES)}")
     key = (name, profile)
     if key not in _app_cache:
         if name == "PinLock":
@@ -88,7 +76,7 @@ def build_app(name: str, profile: Optional[str] = None) -> Application:
 
 
 def opec_artifacts(name: str, profile: Optional[str] = None) -> BuildArtifacts:
-    profile = profile or active_profile()
+    profile = profile or config.current().profile
     key = (name, profile)
     if key not in _opec_cache:
         app = build_app(name, profile)
@@ -98,7 +86,7 @@ def opec_artifacts(name: str, profile: Optional[str] = None) -> BuildArtifacts:
 
 def aces_artifacts(name: str, strategy: str,
                    profile: Optional[str] = None) -> AcesArtifacts:
-    profile = profile or active_profile()
+    profile = profile or config.current().profile
     key = (name, strategy, profile)
     if key not in _aces_cache:
         app = build_app(name, profile)
@@ -147,8 +135,8 @@ def run_build(name: str, kind: str, profile: Optional[str] = None,
     key and the store digest, so no backend ever observes another's
     cycles.
     """
-    profile = profile or active_profile()
-    backend = backend or active_backend()
+    profile = profile or config.current().profile
+    backend = backend or config.current().backend
     key = (name, kind, profile, backend)
     if key in _run_cache:
         return _run_cache[key]
@@ -249,7 +237,7 @@ def compute_all_rows(jobs: Optional[int] = None,
     """
     from . import figure9, table1
 
-    backend = backend or active_backend()
+    backend = backend or config.current().backend
     outer = fleet.begin_capture()
     try:
         results = fanout(_app_rows_worker,

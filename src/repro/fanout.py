@@ -13,35 +13,11 @@ other setting as an explicit argument and never write ``os.environ``.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Optional, Sequence
 
+from . import config
 from .obs.events import DOMAIN_HOST, FLEET_DISPATCH
-
-
-def validate_jobs(value, source: str = "--jobs") -> int:
-    """Parse a worker count, failing loudly on non-positive values
-    (the worker-count counterpart of
-    :func:`~repro.obs.recorder.validate_capacity`)."""
-    try:
-        jobs = int(value)
-    except (TypeError, ValueError):
-        jobs = 0
-    if jobs <= 0:
-        raise ValueError(
-            f"invalid worker count {value!r} ({source}): "
-            "expected a positive integer")
-    return jobs
-
-
-def env_jobs() -> int:
-    """Worker count from ``REPRO_JOBS``: unset → 1; ``0`` or ``auto`` →
-    one worker per CPU; anything else must be a positive integer."""
-    raw = os.environ.get("REPRO_JOBS", "1").strip().lower()
-    if raw in ("0", "auto"):
-        return os.cpu_count() or 1
-    return validate_jobs(raw, "REPRO_JOBS")
 
 
 def split(items: Sequence, parts: int) -> list:
@@ -82,7 +58,8 @@ def fanout(worker: Callable, items: Sequence, jobs: Optional[int] = None,
     recorded as a wall-clock ``fleet.dispatch`` span.
     """
     items = list(items)
-    jobs = env_jobs() if jobs is None else validate_jobs(jobs, "jobs")
+    jobs = config.current().jobs if jobs is None \
+        else config.positive_int(jobs, "worker count", "jobs")
     workers = min(jobs, len(items))
     if workers <= 1:
         begin_us = time.time_ns() // 1000

@@ -15,7 +15,6 @@ from .backend import (
     DEFAULT_BACKEND,
     EnforcementBackend,
     KNOWN_BACKENDS,
-    active_backend,
     create_backend,
 )
 from .board import (
@@ -65,7 +64,7 @@ from .pmp import (
 
 __all__ = [
     "DEFAULT_BACKEND", "EnforcementBackend", "KNOWN_BACKENDS",
-    "active_backend", "create_backend",
+    "create_backend",
     "Board", "CORE_PERIPHERALS", "Peripheral", "PPB_BASE", "PPB_END",
     "stm32479i_eval", "stm32f4_discovery",
     "BusFault", "HardFault", "MachineError", "MachineHalt",

@@ -49,17 +49,14 @@ the uncached per-access check against that representation.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional, Union
+
+# Backend names the factory, the CLI, and ``REPRO_BACKEND`` accept, and
+# the substrate the committed ``results/`` were produced on.
+from ..config import DEFAULT_BACKEND, KNOWN_BACKENDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .mpu import MPURegion
-
-#: Backend names the factory, the CLI, and ``REPRO_BACKEND`` accept.
-KNOWN_BACKENDS = ("mpu", "pmp", "overlay")
-
-#: The substrate the committed ``results/`` were produced on.
-DEFAULT_BACKEND = "mpu"
 
 #: Slots in the policy language's region table (the ARMv7-M MPU's).
 NUM_REGIONS = 8
@@ -229,17 +226,3 @@ def create_backend(spec: BackendSpec = DEFAULT_BACKEND) -> EnforcementBackend:
     raise ValueError(
         f"unknown enforcement backend {spec!r}: "
         f"expected one of {', '.join(KNOWN_BACKENDS)}")
-
-
-def active_backend() -> str:
-    """The ambient backend name (``REPRO_BACKEND``, default ``mpu``).
-
-    Validated loudly — a typo must not silently hand every run the
-    default substrate (mirrors the ``REPRO_PROFILE`` contract).
-    """
-    raw = os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND).strip().lower()
-    if raw not in KNOWN_BACKENDS:
-        raise ValueError(
-            f"unknown enforcement backend {raw!r} (REPRO_BACKEND): "
-            f"expected one of {', '.join(KNOWN_BACKENDS)}")
-    return raw

@@ -68,6 +68,20 @@ class OperationLayout:
     uses_heap: bool = False
 
 
+class ByName(dict):
+    """``{global name: address}`` that the :class:`GlobalVariable`
+    itself also indexes, from any copy of the module."""
+
+    def __getitem__(self, key):
+        return super().__getitem__(getattr(key, "name", key))
+
+    def __contains__(self, key):
+        return super().__contains__(getattr(key, "name", key))
+
+    def get(self, key, default=None):
+        return super().get(getattr(key, "name", key), default)
+
+
 class OpecImage(Image):
     """A firmware image armed with OPEC (Figure 6)."""
 
@@ -79,9 +93,12 @@ class OpecImage(Image):
         super().__init__(module, board, stack_size, heap_size)
         self.policy = policy
         self.op_layouts: dict[int, OperationLayout] = {}
-        self.shadow_addresses: dict[tuple[int, GlobalVariable], int] = {}
-        self.public_addresses: dict[GlobalVariable, int] = {}
-        self.reloc_slots: dict[GlobalVariable, int] = {}
+        # Keyed by global *name*, like ``_global_addresses``: a
+        # store-served image carries its own unpickled module, and the
+        # globals of the caller's live module must resolve against it.
+        self.shadow_addresses: dict[tuple[int, str], int] = {}
+        self.public_addresses = ByName()
+        self.reloc_slots = ByName()
         self.entry_to_operation: dict[str, Operation] = {
             op.entry.name: op for op in policy.operations
         }
@@ -97,7 +114,7 @@ class OpecImage(Image):
 
     def shadow_address(self, operation: Operation,
                        gvar: GlobalVariable) -> int:
-        return self.shadow_addresses[(operation.index, gvar)]
+        return self.shadow_addresses[(operation.index, gvar.name)]
 
     def layout_of(self, operation: Operation) -> OperationLayout:
         return self.op_layouts[operation.index]
@@ -171,7 +188,7 @@ def _layout_sram(image: OpecImage) -> None:
     public_start = cursor
     for gvar in policy.all_external_vars() + policy.public_only_vars():
         address = align_up(cursor, max(gvar.value_type.alignment, _WORD))
-        image.public_addresses[gvar] = address
+        image.public_addresses[gvar.name] = address
         image._global_addresses[gvar.name] = address
         cursor = address + align_up(gvar.size, _WORD)
     cursor = align_up(cursor, _WORD) + md.MONITOR_DATA_BYTES
@@ -180,7 +197,7 @@ def _layout_sram(image: OpecImage) -> None:
     # Variable relocation table: one pointer slot per external variable.
     reloc_start = cursor
     for gvar in policy.all_external_vars():
-        image.reloc_slots[gvar] = cursor
+        image.reloc_slots[gvar.name] = cursor
         cursor += _WORD
     image.add_section("reloc", reloc_start, max(cursor - reloc_start, _WORD),
                       "reloc")
@@ -252,7 +269,7 @@ def _place_section_vars(image: OpecImage, operation: Operation,
         cursor = address + align_up(gvar.size, _WORD)
     for gvar in policy.external_vars(operation):
         address = align_up(cursor, max(gvar.value_type.alignment, _WORD))
-        image.shadow_addresses[(operation.index, gvar)] = address
+        image.shadow_addresses[(operation.index, gvar.name)] = address
         cursor = address + align_up(gvar.size, _WORD)
 
 

@@ -75,14 +75,14 @@ def policy_document(image: OpecImage) -> dict[str, Any]:
         "board": image.board.name,
         "operations": operations,
         "relocation_table": {
-            g.name: f"0x{slot:08X}"
-            for g, slot in sorted(image.reloc_slots.items(),
-                                  key=lambda kv: kv[1])
+            name: f"0x{slot:08X}"
+            for name, slot in sorted(image.reloc_slots.items(),
+                                     key=lambda kv: kv[1])
         },
         "public_data": {
-            g.name: f"0x{addr:08X}"
-            for g, addr in sorted(image.public_addresses.items(),
-                                  key=lambda kv: kv[1])
+            name: f"0x{addr:08X}"
+            for name, addr in sorted(image.public_addresses.items(),
+                                     key=lambda kv: kv[1])
         },
         "memory": {
             "stack_base": f"0x{image.stack_base:08X}",

@@ -12,31 +12,16 @@ from .costs import (
     SYNC_WORD_COST,
 )
 from .batch import BatchLane, BatchResult, BatchRunner
-from .blockcompile import (
-    BLOCKCOMPILE_OFF_VALUES,
-    BLOCKCOMPILE_ON_VALUES,
-    block_compile_enabled,
-    compile_block,
-)
+from .blockcompile import compile_block
 from .hooks import RuntimeHooks
 from .interpreter import ExecutionLimitExceeded, Frame, Interpreter
-from .tracefuse import (
-    DEFAULT_TRACE_THRESHOLD,
-    TRACEFUSE_OFF_VALUES,
-    TRACEFUSE_ON_VALUES,
-    compile_trace,
-    trace_fuse_enabled,
-    trace_threshold,
-)
+from .tracefuse import compile_trace
 
 __all__ = [
     "CORE_EMULATION_COST", "DEFAULT_COST", "DIV_COST", "INSTRUCTION_COSTS",
     "REGION_SWITCH_COST", "SANITIZE_CHECK_COST", "STACK_RELOCATE_WORD_COST",
     "SWITCH_BASE_COST", "SYNC_WORD_COST",
-    "BLOCKCOMPILE_OFF_VALUES", "BLOCKCOMPILE_ON_VALUES",
-    "block_compile_enabled", "compile_block",
-    "DEFAULT_TRACE_THRESHOLD", "TRACEFUSE_OFF_VALUES", "TRACEFUSE_ON_VALUES",
-    "compile_trace", "trace_fuse_enabled", "trace_threshold",
+    "compile_block", "compile_trace",
     "BatchLane", "BatchResult", "BatchRunner",
     "RuntimeHooks", "ExecutionLimitExceeded", "Frame", "Interpreter",
 ]

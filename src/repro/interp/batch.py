@@ -112,7 +112,7 @@ class BatchRunner:
     """
 
     def __init__(self, *, block_compile: Optional[bool] = None,
-                 trace_fuse: Optional[bool] = None):
+                 trace_fuse: bool = True):
         self.block_compile = block_compile
         self.trace_fuse = trace_fuse
         self.lanes: list[BatchLane] = []

@@ -51,13 +51,12 @@ Design constraints (DESIGN.md, "Superinstruction compilation"):
   does not specialise (runtime struct indices, unknown ops) delegate
   to ``Interpreter._execute`` mid-block.
 
-``REPRO_BLOCKCOMPILE`` (default **on**) gates the whole mechanism;
-unknown spellings raise loudly, matching ``REPRO_TRACE``.
+``REPRO_BLOCKCOMPILE`` (:mod:`repro.config`, default **on**) gates the
+whole mechanism.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from ..hw.board import PPB_BASE as _PPB_BASE, PPB_END as _PPB_END
@@ -95,35 +94,12 @@ from .costs import DEFAULT_COST, DIV_COST, INSTRUCTION_COSTS
 _WORD = 0xFFFFFFFF
 _DIV_OPS = ("udiv", "sdiv", "urem", "srem")
 
-#: Accepted ``REPRO_BLOCKCOMPILE`` spellings.  Anything else raises.
-#: Unset/empty means **on** — block compilation is the default mode.
-BLOCKCOMPILE_ON_VALUES = frozenset({"", "on", "1", "true", "yes", "enabled"})
-BLOCKCOMPILE_OFF_VALUES = frozenset({"off", "0", "none", "false", "disabled"})
-
 _BINOP_SYMBOLS = {"add": "+", "sub": "-", "mul": "*",
                   "and": "&", "or": "|", "xor": "^"}
 _ICMP_SYMBOLS = {"eq": "==", "ne": "!=",
                  "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
                  "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 _ICMP_SIGNED = frozenset({"slt", "sle", "sgt", "sge"})
-
-
-def block_compile_enabled() -> bool:
-    """Whether ``REPRO_BLOCKCOMPILE`` asks for compiled-block execution.
-
-    Defaults to on; misspellings raise instead of silently changing
-    the execution mode under a benchmark or a determinism check.
-    """
-    raw = os.environ.get("REPRO_BLOCKCOMPILE", "").strip().lower()
-    if raw in BLOCKCOMPILE_ON_VALUES:
-        return True
-    if raw in BLOCKCOMPILE_OFF_VALUES:
-        return False
-    raise ValueError(
-        f"REPRO_BLOCKCOMPILE={raw!r} is not a recognised setting; "
-        f"use one of {sorted(BLOCKCOMPILE_ON_VALUES - {''})} or "
-        f"{sorted(BLOCKCOMPILE_OFF_VALUES)}"
-    )
 
 
 def _undef(interp, frame, inst) -> None:
@@ -793,8 +769,5 @@ def compile_block(block: BasicBlock) -> Optional[Callable]:
 
 
 __all__ = [
-    "BLOCKCOMPILE_OFF_VALUES",
-    "BLOCKCOMPILE_ON_VALUES",
-    "block_compile_enabled",
     "compile_block",
 ]

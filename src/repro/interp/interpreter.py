@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .. import config
 from ..hw.exceptions import (
     BusFault,
     HardFault,
@@ -84,10 +85,11 @@ from ..obs.events import (
 )
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import attach_crash_context
-from .blockcompile import block_compile_enabled, compile_block
+from . import tracefuse
+from .blockcompile import compile_block
 from .costs import DEFAULT_COST, DIV_COST, INSTRUCTION_COSTS
 from .hooks import RuntimeHooks
-from .tracefuse import compile_trace, trace_fuse_enabled, trace_threshold
+from .tracefuse import compile_trace
 
 _WORD = 0xFFFFFFFF
 _MAX_FAULT_RETRIES = 16
@@ -138,7 +140,7 @@ class Interpreter:
         hooks: Optional[RuntimeHooks] = None,
         max_instructions: int = 100_000_000,
         block_compile: Optional[bool] = None,
-        trace_fuse: Optional[bool] = None,
+        trace_fuse: bool = True,
     ):
         self.machine = machine
         self.image = image
@@ -155,15 +157,13 @@ class Interpreter:
         # machine-side snapshot must stay byte-identical with block
         # compilation on and off.
         if block_compile is None:
-            block_compile = block_compile_enabled()
+            block_compile = config.current().block_compile
         self.block_compile = bool(block_compile)
         # Trace fusion rides on top of block compilation (its fallback
-        # tier): ``None`` → REPRO_TRACEFUSE, default on, and forced
-        # off whenever block compilation itself is off.
-        if trace_fuse is None:
-            trace_fuse = self.block_compile and trace_fuse_enabled()
+        # tier): forced off whenever block compilation itself is off.
         self.trace_fuse = self.block_compile and bool(trace_fuse)
-        self._trace_threshold = trace_threshold() if self.trace_fuse else 0
+        self._trace_threshold = tracefuse.TRACE_THRESHOLD \
+            if self.trace_fuse else 0
         self.compile_metrics = MetricsRegistry()
         self._n_blocks_compiled = self.compile_metrics.counter(
             "blockcompile.blocks_compiled")

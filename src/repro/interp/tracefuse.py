@@ -40,16 +40,16 @@ Semantics are the block compiler's, batched harder:
   dispatch loop falls through to the per-block tier instead of
   re-entering the trace forever).
 
-Traces compile once a block has been entered ``REPRO_TRACEFUSE_THRESHOLD``
-times (default 8) at index 0 with IRQs quiet, and are cached on the IR
+Traces compile once a block has been entered :data:`TRACE_THRESHOLD`
+times at index 0 with IRQs quiet, and are cached on the IR
 (``block._trace``) — shared by every interpreter and batch lane, and
-dropped on pickle like ``_compiled``.  ``REPRO_TRACEFUSE`` (default
-**on**) gates the tier; unknown spellings raise loudly.
+dropped on pickle like ``_compiled``.  The tier is on whenever block
+compilation is; ``Interpreter(trace_fuse=False)`` runs the per-block
+tier alone, which the differential suites use as their reference.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from ..ir.function import BasicBlock
@@ -57,58 +57,13 @@ from ..ir.instructions import Alloca, Br, Jump, Load, Store
 from ..ir.values import Constant
 from .blockcompile import _BlockCompiler, _inst_cost
 
-#: Accepted ``REPRO_TRACEFUSE`` spellings.  Anything else raises.
-#: Unset/empty means **on** — trace fusion is the default mode.
-TRACEFUSE_ON_VALUES = frozenset({"", "on", "1", "true", "yes", "enabled"})
-TRACEFUSE_OFF_VALUES = frozenset({"off", "0", "none", "false", "disabled"})
-
 #: Block entries (at index 0, IRQs quiet) before a trace is attempted.
-DEFAULT_TRACE_THRESHOLD = 8
+#: Read at interpreter construction; tests lower it to fuse short loops.
+TRACE_THRESHOLD = 8
 
 #: Chain caps: a runaway walk must not fuse half a program.
 MAX_TRACE_BLOCKS = 16
 MAX_TRACE_INSTS = 256
-
-
-def trace_fuse_enabled() -> bool:
-    """Whether ``REPRO_TRACEFUSE`` asks for fused-trace execution.
-
-    Defaults to on; misspellings raise instead of silently changing
-    the execution mode under a benchmark or a determinism check.
-    """
-    raw = os.environ.get("REPRO_TRACEFUSE", "").strip().lower()
-    if raw in TRACEFUSE_ON_VALUES:
-        return True
-    if raw in TRACEFUSE_OFF_VALUES:
-        return False
-    raise ValueError(
-        f"REPRO_TRACEFUSE={raw!r} is not a recognised setting; "
-        f"use one of {sorted(TRACEFUSE_ON_VALUES - {''})} or "
-        f"{sorted(TRACEFUSE_OFF_VALUES)}"
-    )
-
-
-def trace_threshold() -> int:
-    """Hot threshold from ``REPRO_TRACEFUSE_THRESHOLD`` (default 8).
-
-    Validated loudly, distinguishing "not an integer" from a value
-    that *is* an integer but out of range.
-    """
-    raw = os.environ.get("REPRO_TRACEFUSE_THRESHOLD", "").strip()
-    if not raw:
-        return DEFAULT_TRACE_THRESHOLD
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TRACEFUSE_THRESHOLD={raw!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"REPRO_TRACEFUSE_THRESHOLD={raw!r} is not a positive "
-            f"entry count"
-        )
-    return value
 
 
 class _Unfusible(Exception):
@@ -382,12 +337,8 @@ def compile_trace(block: BasicBlock) -> Optional[Callable]:
 
 
 __all__ = [
-    "DEFAULT_TRACE_THRESHOLD",
     "MAX_TRACE_BLOCKS",
     "MAX_TRACE_INSTS",
-    "TRACEFUSE_OFF_VALUES",
-    "TRACEFUSE_ON_VALUES",
+    "TRACE_THRESHOLD",
     "compile_trace",
-    "trace_fuse_enabled",
-    "trace_threshold",
 ]

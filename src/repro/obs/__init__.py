@@ -35,8 +35,6 @@ from .recorder import (
     attach_crash_context,
     install,
     reset_active,
-    trace_capacity,
-    trace_enabled,
 )
 
 __all__ = [
@@ -45,5 +43,4 @@ __all__ = [
     "Counter", "CycleHistogram", "MetricsRegistry",
     "DEFAULT_CAPACITY", "FlightRecorder", "active_recorder",
     "attach_crash_context", "install", "reset_active",
-    "trace_capacity", "trace_enabled",
 ]

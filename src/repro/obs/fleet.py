@@ -60,7 +60,8 @@ from .events import (
     INSTANT,
 )
 from .metrics import MetricsRegistry
-from .recorder import FlightRecorder, install, trace_capacity
+from .. import config
+from .recorder import FlightRecorder, install
 
 #: Dashboard line separating the deterministic sim-domain section from
 #: the host-domain diagnostics.  ``tools/check_determinism.py`` and the
@@ -379,12 +380,11 @@ def run_fleet(target: str, *, jobs: Optional[int] = None,
     outcomes, per-lane event streams, merged sim metrics — is
     byte-stable for any job count; only the host-domain spans differ.
     """
-    from ..eval.workloads import active_profile
-    from ..fanout import env_jobs, validate_jobs
-
-    jobs = env_jobs() if jobs is None else validate_jobs(jobs)
-    profile = profile or active_profile()
-    capacity = trace_capacity() if capacity is None else capacity
+    settings = config.current()
+    jobs = settings.jobs if jobs is None \
+        else config.positive_int(jobs, "worker count", "jobs")
+    profile = profile or settings.profile
+    capacity = settings.trace_buf if capacity is None else capacity
     start = time.perf_counter()
     parent_recorder = FlightRecorder(capacity)
     previous = install(parent_recorder)
@@ -397,11 +397,7 @@ def run_fleet(target: str, *, jobs: Optional[int] = None,
                 seed=seed, firmwares=firmwares, attacks=tuple(attacks),
                 backends=backends, jobs=jobs, trace=trace)
         else:
-            if not backends:
-                from ..hw.backend import active_backend
-
-                backends = (active_backend(),)
-            backends = tuple(backends)
+            backends = tuple(backends or (settings.backend,))
             specs = fleet_lane_specs(target, profile, backends)
             # One contiguous slice (one batch runner) per worker.
             slices = split(specs, min(jobs, len(specs)))
@@ -424,10 +420,10 @@ def _run_campaign_fleet(*, seed, firmwares, attacks, backends, jobs,
                         trace) -> list[WorkerTelemetry]:
     from ..campaign import CampaignConfig, run_campaign
 
-    config = CampaignConfig(seed=seed, firmwares=firmwares,
-                            attacks=attacks, backends=backends,
-                            jobs=jobs, telemetry_trace=trace)
-    return run_campaign(config).telemetry
+    campaign = CampaignConfig(seed=seed, firmwares=firmwares,
+                              attacks=attacks, backends=backends,
+                              jobs=jobs, telemetry_trace=trace)
+    return run_campaign(campaign).telemetry
 
 
 # -- trace fusion --------------------------------------------------------

@@ -14,20 +14,18 @@ guards live only on cold seams (operation switches, faults, IRQ
 dispatch), which is how the disabled-mode overhead stays near zero
 (see ``benchmarks/bench_obs.py``).
 
-Environment knobs (validated loudly, like ``REPRO_PROFILE``):
-
-* ``REPRO_TRACE`` — ``off`` (default) or ``on``: whether runs started
-  without an explicit recorder record events;
-* ``REPRO_TRACE_BUF`` — ring capacity in events (default 65536);
-  must parse as a positive integer.
+``REPRO_TRACE`` and ``REPRO_TRACE_BUF`` (:mod:`repro.config`) decide
+whether runs started without an explicit recorder record events, and
+into how large a ring.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Optional
 
+from .. import config
+from ..config import DEFAULT_CAPACITY
 from .events import (
     BEGIN,
     CRASH,
@@ -37,55 +35,6 @@ from .events import (
     Event,
     INSTANT,
 )
-
-DEFAULT_CAPACITY = 65536
-
-#: Accepted ``REPRO_TRACE`` spellings.  Anything else raises.
-TRACE_ON_VALUES = frozenset({"on", "1", "true", "yes", "enabled"})
-TRACE_OFF_VALUES = frozenset({"", "off", "0", "none", "false", "disabled"})
-
-
-def trace_enabled() -> bool:
-    """Whether ``REPRO_TRACE`` asks for ambient recording.
-
-    An unknown value fails loudly instead of silently recording (or
-    silently not recording) — the same contract ``REPRO_PROFILE`` has.
-    """
-    raw = os.environ.get("REPRO_TRACE", "").strip().lower()
-    if raw in TRACE_ON_VALUES:
-        return True
-    if raw in TRACE_OFF_VALUES:
-        return False
-    raise ValueError(
-        f"unknown trace mode {raw!r} (REPRO_TRACE): expected one of "
-        f"{', '.join(sorted(TRACE_ON_VALUES | (TRACE_OFF_VALUES - {''})))}")
-
-
-def validate_capacity(value, source: str = "REPRO_TRACE_BUF") -> int:
-    """Parse a ring capacity, failing loudly on non-positive values.
-
-    Shared by the environment knob, ``repro trace --buf``, and the
-    ``repro fleet`` knobs so every entry point rejects a bad capacity
-    with the same wording instead of silently truncating (or crashing
-    deep inside the deque constructor).
-    """
-    try:
-        capacity = int(value)
-    except (TypeError, ValueError):
-        capacity = 0
-    if capacity <= 0:
-        raise ValueError(
-            f"invalid ring capacity {value!r} ({source}): "
-            "expected a positive integer")
-    return capacity
-
-
-def trace_capacity() -> int:
-    """The configured ring capacity (``REPRO_TRACE_BUF``)."""
-    raw = os.environ.get("REPRO_TRACE_BUF", "").strip()
-    if not raw:
-        return DEFAULT_CAPACITY
-    return validate_capacity(raw, "REPRO_TRACE_BUF")
 
 
 class FlightRecorder:
@@ -189,7 +138,8 @@ def active_recorder() -> Optional[FlightRecorder]:
     """The ambient recorder, or ``None`` when tracing is off."""
     global _active
     if _active is _UNSET:
-        _active = FlightRecorder(trace_capacity()) if trace_enabled() \
+        settings = config.current()
+        _active = FlightRecorder(settings.trace_buf) if settings.trace \
             else None
     return _active
 
@@ -228,7 +178,5 @@ def attach_crash_context(error: BaseException,
 
 __all__ = [
     "DEFAULT_CAPACITY", "DOMAIN_HOST", "DOMAIN_SIM", "FlightRecorder",
-    "TRACE_OFF_VALUES", "TRACE_ON_VALUES", "active_recorder",
-    "attach_crash_context", "install", "reset_active", "trace_capacity",
-    "trace_enabled", "validate_capacity",
+    "active_recorder", "attach_crash_context", "install", "reset_active",
 ]

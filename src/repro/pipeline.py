@@ -12,11 +12,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from . import config
 from .analysis.andersen import AndersenResult, run_andersen
 from .analysis.callgraph import CallGraph, build_call_graph
 from .analysis.resources import ResourceAnalysis
 from .cache import active_store, build_digest
-from .hw.backend import BackendSpec, active_backend
+from .hw.backend import BackendSpec
 from .hw.board import Board
 from .hw.machine import Machine
 from .image.layout import (
@@ -206,7 +207,7 @@ def prepare_machine(
     """Build and initialise a fresh machine for ``image`` (no run)."""
     machine = Machine(image.board,
                       backend=backend if backend is not None
-                      else active_backend())
+                      else config.current().backend)
     machine.recorder = recorder if recorder is not None \
         else active_recorder()
     if setup is not None:
@@ -225,7 +226,7 @@ def run_image(
     recorder: Optional[FlightRecorder] = None,
     backend: Optional[BackendSpec] = None,
     block_compile: Optional[bool] = None,
-    trace_fuse: Optional[bool] = None,
+    trace_fuse: bool = True,
 ) -> RunResult:
     """Load ``image`` onto a fresh machine and run it to halt.
 
@@ -237,8 +238,8 @@ def run_image(
     when left ``None`` the ambient ``REPRO_BACKEND`` applies.
     ``block_compile`` overrides superinstruction execution; when left
     ``None`` the ambient ``REPRO_BLOCKCOMPILE`` (default on) applies.
-    ``trace_fuse`` overrides loop-trace fusion the same way
-    (``REPRO_TRACEFUSE``, default on, inert without block compilation).
+    ``trace_fuse=False`` turns loop-trace fusion off (it is on by
+    default, and inert without block compilation).
     """
     machine = prepare_machine(image, setup=setup, recorder=recorder,
                               backend=backend)

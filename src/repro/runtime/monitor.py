@@ -84,11 +84,12 @@ class OpecMonitor(RuntimeHooks):
     def on_reset(self, interp) -> None:
         machine = self.machine
         # 1. Initialise every shadow copy from its public original.
-        for (op_index, gvar), shadow in self.image.shadow_addresses.items():
-            public = self.image.public_addresses[gvar]
-            blob = machine.read_bytes(public, gvar.size)
+        for (_op_index, name), shadow in self.image.shadow_addresses.items():
+            size = self.image.module.get_global(name).size
+            public = self.image.public_addresses[name]
+            blob = machine.read_bytes(public, size)
             machine.write_bytes(shadow, blob)
-            machine.consume(SYNC_WORD_COST * ((gvar.size + 3) // 4))
+            machine.consume(SYNC_WORD_COST * ((size + 3) // 4))
         # 2. Exception handling for SVC / MemManage / BusFault is wired
         #    through the interpreter's hook dispatch (always enabled).
         # 3. Configure the MPU for the default operation and drop to the

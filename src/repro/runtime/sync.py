@@ -30,11 +30,14 @@ class DataSynchronizer:
         self.policy = image.policy
         # Address index over every shadow copy and public original so
         # pointer fields can be retargeted across sections (§5.3).
-        self._intervals: list[tuple[int, int, Optional[int], GlobalVariable]] = []
-        for (op_index, gvar), addr in image.shadow_addresses.items():
-            self._intervals.append((addr, addr + gvar.size, op_index, gvar))
-        for gvar, addr in image.public_addresses.items():
-            self._intervals.append((addr, addr + gvar.size, None, gvar))
+        self._intervals: list[tuple[int, int, Optional[int], str]] = []
+        get_global = image.module.get_global
+        for (op_index, name), addr in image.shadow_addresses.items():
+            end = addr + get_global(name).size
+            self._intervals.append((addr, end, op_index, name))
+        for name, addr in image.public_addresses.items():
+            end = addr + get_global(name).size
+            self._intervals.append((addr, end, None, name))
         self._intervals.sort()
         self._bytes_copied = machine.metrics.counter("monitor.sync_bytes_copied")
 
@@ -93,22 +96,23 @@ class DataSynchronizer:
     def update_relocation_table(self, operation: Operation) -> None:
         """Point every external's slot at ``operation``'s shadow, or at
         the public original when the operation does not access it."""
-        accessible = set(self.policy.external_vars(operation))
-        for gvar, slot in self.image.reloc_slots.items():
-            if gvar in accessible:
-                target = self.image.shadow_address(operation, gvar)
+        accessible = {gvar.name for gvar in
+                      self.policy.external_vars(operation)}
+        for name, slot in self.image.reloc_slots.items():
+            if name in accessible:
+                target = self.image.shadow_addresses[(operation.index, name)]
             else:
-                target = self.image.public_addresses[gvar]
+                target = self.image.public_addresses[name]
             self.machine.write_direct(slot, 4, target)
             self.machine.consume(1)
 
     # -- pointer-field redirection (§5.3) --------------------------------------
 
     def _locate(self, address: int) -> Optional[tuple[Optional[int],
-                                                      GlobalVariable, int]]:
-        for start, end, op_index, gvar in self._intervals:
+                                                      str, int]]:
+        for start, end, op_index, name in self._intervals:
             if start <= address < end:
-                return op_index, gvar, address - start
+                return op_index, name, address - start
         return None
 
     def redirect_pointers(self, operation: Operation) -> None:
@@ -116,7 +120,7 @@ class DataSynchronizer:
         at another operation's shadow (or a public original) of a
         variable this operation holds its own shadow of."""
         own_shadows = {
-            gvar: self.image.shadow_address(operation, gvar)
+            gvar.name: self.image.shadow_address(operation, gvar)
             for gvar in self.policy.external_vars(operation)
         }
         section_vars = self.policy.section_vars(operation)
@@ -130,17 +134,17 @@ class DataSynchronizer:
                 located = self._locate(pointer)
                 if located is None:
                     continue
-                target_op, target_var, delta = located
+                target_op, target_name, delta = located
                 if target_op == operation.index:
                     continue
-                if target_var in own_shadows:
+                if target_name in own_shadows:
                     self.machine.write_direct(
-                        base + offset, 4, own_shadows[target_var] + delta
+                        base + offset, 4, own_shadows[target_name] + delta
                     )
                     self.machine.consume(1)
 
     def _home_address(self, operation: Operation, gvar: GlobalVariable) -> int:
-        key = (operation.index, gvar)
+        key = (operation.index, gvar.name)
         if key in self.image.shadow_addresses:
             return self.image.shadow_addresses[key]
         return self.image.global_address(gvar)

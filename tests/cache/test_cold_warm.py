@@ -92,6 +92,26 @@ def test_warm_vanilla_image_resolves_live_module_globals(private_store):
         warm.module.get_global("KEY"))
 
 
+def test_warm_opec_image_resolves_live_module_globals(private_store):
+    """The OPEC image's shadow, public-original and relocation-slot
+    maps are keyed by global name, so globals of the caller's live
+    module resolve against a store-served image too."""
+    app = workloads.build_app("PinLock", profile="quick")
+    key = app.module.get_global("KEY")
+    cold = build_opec(app.module, app.board, app.specs)
+    warm = build_opec(app.module, app.board, app.specs)
+    assert warm.cache_hit
+    assert warm.module is not app.module
+    unlock = warm.policy.operation_by_entry("Unlock_Task")
+    assert warm.image.shadow_address(unlock, key) == \
+        cold.image.shadow_address(unlock, key)
+    assert warm.image.public_addresses[key] == \
+        cold.image.public_addresses[key]
+    assert warm.image.reloc_slots[key] == cold.image.reloc_slots[key]
+    assert warm.image.public_addresses[key] == \
+        warm.image.public_addresses[warm.module.get_global("KEY")]
+
+
 def test_run_results_are_cached_and_identical(private_store):
     cold = workloads.run_build("PinLock", "opec", profile="quick")
     before = cache.counters_snapshot()

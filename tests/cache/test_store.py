@@ -4,11 +4,11 @@ import hashlib
 
 import pytest
 
+from repro import config
 from repro.cache.store import (
     ArtifactStore,
     CacheCounters,
     active_store,
-    cache_root,
     reset_store_state,
 )
 
@@ -102,13 +102,13 @@ def test_fingerprint_partitions_the_store(tmp_path):
 
 def test_cache_root_configuration(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "/some/dir")
-    assert str(cache_root()) == "/some/dir"
+    assert str(config.current().cache) == "/some/dir"
     for off in ("off", "OFF", "0", "none", "disabled", "false"):
         monkeypatch.setenv("REPRO_CACHE", off)
-        assert cache_root() is None
+        assert config.current().cache is None
         assert active_store() is None
     monkeypatch.delenv("REPRO_CACHE")
-    assert cache_root() is not None  # default .repro-cache
+    assert str(config.current().cache) == config.DEFAULT_CACHE_ROOT
 
 
 def test_active_store_memoised_per_root(tmp_path, monkeypatch):

@@ -3,12 +3,12 @@ comparative backend matrix."""
 
 import pytest
 
+from repro import config
 from repro.cache.digest import run_digest
 from repro.cli import BACKEND_CHOICES, build_parser
 from repro.hw.backend import (
     DEFAULT_BACKEND,
     KNOWN_BACKENDS,
-    active_backend,
     create_backend,
 )
 from repro.hw.mpu import MPU
@@ -33,13 +33,13 @@ class TestBackendRegistry:
             create_backend("mmu")
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
         with pytest.raises(ValueError, match="bogus"):
-            active_backend()
+            config.current()
 
     def test_ambient_backend_defaults_and_reads_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert active_backend() == DEFAULT_BACKEND
+        assert config.current().backend == DEFAULT_BACKEND
         monkeypatch.setenv("REPRO_BACKEND", "overlay")
-        assert active_backend() == "overlay"
+        assert config.current().backend == "overlay"
 
     def test_cli_choices_match_known_backends(self):
         """The CLI spells the choices out (parser construction must not

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import config
 from repro.eval import workloads
-from repro.fanout import env_jobs
 
 
 def test_profiles_change_workload_scale():
@@ -63,24 +63,24 @@ def test_clear_caches_resets():
 
 def test_active_profile_env(monkeypatch):
     monkeypatch.setenv("REPRO_PROFILE", "paper")
-    assert workloads.active_profile() == "paper"
+    assert config.current().profile == "paper"
     monkeypatch.setenv("REPRO_PROFILE", "quick")
-    assert workloads.active_profile() == "quick"
+    assert config.current().profile == "quick"
 
 
 def test_repro_jobs_env(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert env_jobs() == 1
+    assert config.current().jobs == 1
     monkeypatch.setenv("REPRO_JOBS", "4")
-    assert env_jobs() == 4
+    assert config.current().jobs == 4
     monkeypatch.setenv("REPRO_JOBS", "auto")
-    assert env_jobs() >= 1
+    assert config.current().jobs >= 1
     monkeypatch.setenv("REPRO_JOBS", "bogus")
     with pytest.raises(ValueError, match="invalid worker count"):
-        env_jobs()
+        config.current().jobs
     monkeypatch.setenv("REPRO_JOBS", "-3")
     with pytest.raises(ValueError, match="invalid worker count"):
-        env_jobs()
+        config.current().jobs
 
 
 def test_compute_all_rows_sections_and_order():
@@ -109,7 +109,6 @@ def test_compute_all_rows_aggregates_compile_metrics(monkeypatch):
     matrix runs the suite with the tiers disabled."""
     monkeypatch.setenv("REPRO_CACHE", "off")
     monkeypatch.setenv("REPRO_BLOCKCOMPILE", "on")
-    monkeypatch.setenv("REPRO_TRACEFUSE", "on")
     workloads.clear_caches()
     try:
         rows = workloads.compute_all_rows(jobs=1)

@@ -132,10 +132,11 @@ class TestOpecLinker:
 
     def test_shadows_live_inside_their_section(self, artifacts):
         image = artifacts.image
-        for (op_index, gvar), address in image.shadow_addresses.items():
+        for (op_index, name), address in image.shadow_addresses.items():
             section = image.op_layouts[op_index].section
             assert section.base <= address
-            assert address + gvar.size <= section.end
+            assert address + image.module.get_global(name).size \
+                <= section.end
 
     def test_internal_vars_inside_their_section(self, artifacts):
         image = artifacts.image
@@ -147,7 +148,7 @@ class TestOpecLinker:
                 assert section.base <= address < section.end
 
     def test_reloc_slot_per_external(self, artifacts):
-        externals = set(artifacts.policy.all_external_vars())
+        externals = {g.name for g in artifacts.policy.all_external_vars()}
         assert set(artifacts.image.reloc_slots) == externals
         slots = sorted(artifacts.image.reloc_slots.values())
         assert all(b - a == 4 for a, b in zip(slots, slots[1:]))

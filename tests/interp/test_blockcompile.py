@@ -4,7 +4,8 @@ The compiler's contract is bit-identity with single-step execution —
 same halt codes, same simulated cycles, same stats, same memory image,
 same fault messages — plus structural guarantees: closures are cached
 on the (image-independent) IR block, uncompilable blocks degrade to a
-cached ``None`` sentinel, and ``REPRO_BLOCKCOMPILE`` validates loudly.
+cached ``None`` sentinel, and ``REPRO_BLOCKCOMPILE`` validates loudly
+and reaches the interpreter.
 """
 
 import pickle
@@ -12,15 +13,13 @@ import pickle
 import pytest
 
 import repro.ir as ir
+from repro import config
 from repro.hw import Machine, stm32f4_discovery
 from repro.hw.exceptions import MachineError
 from repro.image import build_vanilla_image
 from repro.interp import (
-    BLOCKCOMPILE_OFF_VALUES,
-    BLOCKCOMPILE_ON_VALUES,
     ExecutionLimitExceeded,
     Interpreter,
-    block_compile_enabled,
     compile_block,
 )
 from repro.ir import I32, VOID
@@ -81,24 +80,25 @@ def _compare_modes(module, *, max_instructions=1_000_000, raise_irqs=()):
 
 
 class TestEnvKnob:
-    @pytest.mark.parametrize("raw", sorted(BLOCKCOMPILE_ON_VALUES))
+    # Empty counts as set-but-blank: the default, which is on.
+    @pytest.mark.parametrize("raw", ["", *sorted(config.ON_VALUES)])
     def test_on_values(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_BLOCKCOMPILE", raw)
-        assert block_compile_enabled() is True
+        assert config.current().block_compile is True
 
-    @pytest.mark.parametrize("raw", sorted(BLOCKCOMPILE_OFF_VALUES))
+    @pytest.mark.parametrize("raw", sorted(config.OFF_VALUES))
     def test_off_values(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_BLOCKCOMPILE", raw)
-        assert block_compile_enabled() is False
+        assert config.current().block_compile is False
 
     def test_unset_defaults_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_BLOCKCOMPILE", raising=False)
-        assert block_compile_enabled() is True
+        assert config.current().block_compile is True
 
     def test_misspelling_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BLOCKCOMPILE", "fastish")
         with pytest.raises(ValueError, match="REPRO_BLOCKCOMPILE"):
-            block_compile_enabled()
+            config.current().block_compile
 
     def test_interpreter_consults_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BLOCKCOMPILE", "off")

@@ -4,9 +4,9 @@ The fuser's contract is bit-identity with both lower tiers — same halt
 codes, same simulated cycles, same stats, same memory image, same
 fault messages whether a hot loop runs fused, per-block, or
 single-stepped — plus structural guarantees: traces are cached on the
-IR block (``None`` for rejected heads), dropped on pickle, and the
-``REPRO_TRACEFUSE`` / ``REPRO_TRACEFUSE_THRESHOLD`` knobs validate
-loudly.
+IR block (``None`` for rejected heads), dropped on pickle, and fusion
+is on exactly when block compilation is, unless the interpreter is
+built with ``trace_fuse=False``.
 """
 
 import pickle
@@ -18,14 +18,10 @@ from repro.hw import Machine, stm32f4_discovery
 from repro.hw.exceptions import MachineError
 from repro.image import build_vanilla_image
 from repro.interp import (
-    DEFAULT_TRACE_THRESHOLD,
-    TRACEFUSE_OFF_VALUES,
-    TRACEFUSE_ON_VALUES,
     ExecutionLimitExceeded,
     Interpreter,
     compile_trace,
-    trace_fuse_enabled,
-    trace_threshold,
+    tracefuse,
 )
 from repro.ir import I32, VOID
 
@@ -107,65 +103,35 @@ def _compare_modes(module, *, max_instructions=10_000_000, raise_irqs=()):
 @pytest.fixture
 def hot(monkeypatch):
     """Force a low hot threshold so short test loops actually fuse."""
-    monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "2")
+    monkeypatch.setattr(tracefuse, "TRACE_THRESHOLD", 2)
 
 
 class TestEnvKnob:
-    @pytest.mark.parametrize("raw", sorted(TRACEFUSE_ON_VALUES))
-    def test_on_values(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_TRACEFUSE", raw)
-        assert trace_fuse_enabled() is True
-
-    @pytest.mark.parametrize("raw", sorted(TRACEFUSE_OFF_VALUES))
-    def test_off_values(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_TRACEFUSE", raw)
-        assert trace_fuse_enabled() is False
-
     def test_unset_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACEFUSE", raising=False)
-        assert trace_fuse_enabled() is True
-
-    def test_misspelling_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEFUSE", "fastish")
-        with pytest.raises(ValueError, match="REPRO_TRACEFUSE"):
-            trace_fuse_enabled()
-
-    def test_threshold_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACEFUSE_THRESHOLD", raising=False)
-        assert trace_threshold() == DEFAULT_TRACE_THRESHOLD
-
-    def test_threshold_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", " 3 ")
-        assert trace_threshold() == 3
-
-    def test_threshold_not_an_integer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "soon")
-        with pytest.raises(ValueError, match="not an integer"):
-            trace_threshold()
-
-    def test_threshold_out_of_range(self, monkeypatch):
-        # An integer, but not a usable one: distinct diagnostic.
-        monkeypatch.setenv("REPRO_TRACEFUSE_THRESHOLD", "0")
-        with pytest.raises(ValueError, match="not a positive"):
-            trace_threshold()
+        monkeypatch.delenv("REPRO_BLOCKCOMPILE", raising=False)
+        module = _loop_module(5)
+        board = stm32f4_discovery()
+        image = build_vanilla_image(module, board)
+        machine = Machine(board)
+        image.initialize_memory(machine)
+        assert Interpreter(machine, image).trace_fuse is True
 
     def test_interpreter_consults_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEFUSE", "off")
+        # Fusion follows REPRO_BLOCKCOMPILE; only the constructor
+        # turns it off on its own.
+        monkeypatch.setenv("REPRO_BLOCKCOMPILE", "off")
         module = _loop_module(5)
         board = stm32f4_discovery()
         image = build_vanilla_image(module, board)
         machine = Machine(board)
         image.initialize_memory(machine)
         assert Interpreter(machine, image).trace_fuse is False
-        # Explicit constructor argument overrides the environment
-        # (block compilation pinned on: without it fusion is forced
-        # off regardless, e.g. under the CI matrix's ambient
-        # REPRO_BLOCKCOMPILE=off).
-        assert Interpreter(machine, image, block_compile=True,
-                           trace_fuse=True).trace_fuse is True
+        monkeypatch.setenv("REPRO_BLOCKCOMPILE", "on")
+        assert Interpreter(machine, image).trace_fuse is True
+        assert Interpreter(machine, image,
+                           trace_fuse=False).trace_fuse is False
 
-    def test_block_compile_off_forces_fusion_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACEFUSE", raising=False)
+    def test_block_compile_off_forces_fusion_off(self):
         module = _loop_module(5)
         board = stm32f4_discovery()
         image = build_vanilla_image(module, board)

@@ -1,7 +1,8 @@
-"""Unit tests for the flight recorder ring buffer and env knobs."""
+"""Unit tests for the flight recorder ring buffer and its knobs."""
 
 import pytest
 
+from repro import config
 from repro.obs.events import BEGIN, DOMAIN_HOST, DOMAIN_SIM, END, INSTANT
 from repro.obs.recorder import (
     DEFAULT_CAPACITY,
@@ -10,8 +11,6 @@ from repro.obs.recorder import (
     attach_crash_context,
     install,
     reset_active,
-    trace_capacity,
-    trace_enabled,
 )
 
 
@@ -82,36 +81,36 @@ class TestRingBuffer:
 class TestEnvKnobs:
     def test_trace_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert trace_enabled() is False
+        assert config.current().trace is False
 
     @pytest.mark.parametrize("value", ["on", "1", "true", "YES", " Enabled "])
     def test_trace_on_spellings(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_TRACE", value)
-        assert trace_enabled() is True
+        assert config.current().trace is True
 
     @pytest.mark.parametrize("value", ["", "off", "0", "none", "False"])
     def test_trace_off_spellings(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_TRACE", value)
-        assert trace_enabled() is False
+        assert config.current().trace is False
 
     def test_unknown_trace_value_fails_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "maybe")
         with pytest.raises(ValueError, match="REPRO_TRACE"):
-            trace_enabled()
+            config.current().trace
 
     def test_capacity_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE_BUF", raising=False)
-        assert trace_capacity() == DEFAULT_CAPACITY
+        assert config.current().trace_buf == DEFAULT_CAPACITY
 
     def test_capacity_parses_positive_int(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_BUF", " 1024 ")
-        assert trace_capacity() == 1024
+        assert config.current().trace_buf == 1024
 
     @pytest.mark.parametrize("value", ["0", "-5", "x", "1.5"])
     def test_bad_capacity_fails_loudly(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_TRACE_BUF", value)
         with pytest.raises(ValueError, match="REPRO_TRACE_BUF"):
-            trace_capacity()
+            config.current().trace_buf
 
 
 class TestAmbientRecorder:

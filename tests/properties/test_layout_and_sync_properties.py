@@ -73,15 +73,17 @@ def test_layout_invariants_hold_for_random_firmware(fw):
         assert a.end <= b.base, f"{a.name} overlaps {b.name}"
 
     # 2. Every shadow lies inside its operation's section.
-    for (op_index, gvar), address in image.shadow_addresses.items():
+    size = {name: image.module.get_global(name).size
+            for _op, name in image.shadow_addresses}
+    for (op_index, name), address in image.shadow_addresses.items():
         section = image.op_layouts[op_index].section
         assert section.base <= address
-        assert address + gvar.size <= section.end
+        assert address + size[name] <= section.end
 
     # 3. Distinct shadows never overlap.
     spans = sorted(
-        (addr, addr + gvar.size)
-        for (_op, gvar), addr in image.shadow_addresses.items()
+        (addr, addr + size[name])
+        for (_op, name), addr in image.shadow_addresses.items()
     )
     for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
         assert e1 <= s2
@@ -125,7 +127,7 @@ def test_shadow_classification_is_consistent(fw):
             assert len(accessors) >= 2
             # Every accessor has exactly one shadow.
             for op in accessors:
-                assert (op.index, gvar) in artifacts.image.shadow_addresses
+                assert (op.index, gvar.name) in artifacts.image.shadow_addresses
         elif placement.is_internal:
             assert len(accessors) == 1
             assert gvar in policy.internal_vars(accessors[0])

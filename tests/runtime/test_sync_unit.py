@@ -137,10 +137,9 @@ class TestWriteBackRefresh:
         op1 = artifacts.policy.operation_by_entry("t1")
         sync.update_relocation_table(op1)
         # t1 does not access b_var: its slot points at the public copy.
-        built = artifacts.module.get_global("b_var")
-        slot = artifacts.image.reloc_slots[built]
+        slot = artifacts.image.reloc_slots[b_var]
         assert machine.read_direct(slot, 4) == \
-            artifacts.image.public_addresses[built]
+            artifacts.image.public_addresses[b_var]
 
 
 class TestPointerRedirection:

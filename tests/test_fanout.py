@@ -1,10 +1,11 @@
-"""Tests for the one process fan-out and its worker-count parsers."""
+"""Tests for the one process fan-out and its worker-count parsing."""
 
 import os
 
 import pytest
 
-from repro.fanout import fanout, split, validate_jobs
+from repro import config
+from repro.fanout import fanout, split
 from repro.obs.events import DOMAIN_HOST, FLEET_DISPATCH
 from repro.obs.recorder import FlightRecorder
 
@@ -18,11 +19,11 @@ class TestValidateJobs:
         for bad in (0, -2, "0", "nope", None):
             with pytest.raises(ValueError,
                                match="invalid worker count"):
-                validate_jobs(bad)
+                config.positive_int(bad, "worker count", "--jobs")
 
     def test_accepts_positive(self):
-        assert validate_jobs(3) == 3
-        assert validate_jobs("2", "--jobs") == 2
+        assert config.positive_int(3, "worker count", "jobs") == 3
+        assert config.positive_int("2", "worker count", "--jobs") == 2
 
 
 class TestSplit:

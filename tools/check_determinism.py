@@ -3,24 +3,26 @@
 
 Re-runs the full evaluation export (``repro.eval.export``) under the
 same profile the committed ``results/`` were produced with
-(``REPRO_PROFILE=quick``) **five times** — once against an empty
+(``REPRO_PROFILE=quick``) **four times** — once against an empty
 artifact cache (cold, populating it), once against the now-populated
 cache (every build/run rehydrated from disk), once with
-``REPRO_CACHE=off``, once with ``REPRO_BLOCKCOMPILE=off`` (the
-single-step reference interpreter), and once with
-``REPRO_TRACEFUSE=off`` (per-block execution without loop fusion) —
-and compares every file of every pass byte-for-byte against the
-committed tree.  That is the whole contract of the fast paths: a cache
-hit may only ever change *when* you get the bytes, and block
-compilation / trace fusion only *how fast* the simulated machine is
-stepped — never *which* bytes you get.
+``REPRO_CACHE=off``, and once with ``REPRO_BLOCKCOMPILE=off`` (the
+single-step reference interpreter) — and compares every file of every
+pass byte-for-byte against the committed tree.  That is the whole
+contract of the fast paths: a cache hit may only ever change *when*
+you get the bytes, and block compilation / trace fusion only *how
+fast* the simulated machine is stepped — never *which* bytes you get.
+A fifth pass regenerates the paper-profile report
+(``REPRO_PROFILE=paper python -m repro.eval.report_all``) and compares
+it with the committed ``results_paper_profile.txt``.
 
 The single tolerated exception is the analysis wall-clock column of
 Table 3 (``time_s`` / ``Time(s)``): it measures the host machine, not
-the simulated one, so it is masked before comparison.  Everything else
-— every simulated-cycle figure, every counter — must be bit-identical,
-which is the invariant the hot-path fast paths are held to (see
-DESIGN.md, "Performance & determinism" and "Build caching").
+the simulated one, so it is masked before comparison, in ``results/``
+and in the paper-profile report alike.  Everything else — every
+simulated-cycle figure, every counter — must be bit-identical, which
+is the invariant the hot-path fast paths are held to (see DESIGN.md,
+"Performance & determinism" and "Build caching").
 
 Additionally, the compile-side benchmark snapshot
 (``BENCH_analysis.json``) is regenerated and its *derived* fields —
@@ -47,6 +49,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 # Host-wall-clock column index, by filename, dropped before comparing.
 MASKED_COLUMNS = {"table3.tsv": 3, "table3.txt": 3}
+
+PAPER_REPORT = "results_paper_profile.txt"
 
 # Host-measurement keys pruned from BENCH_analysis.json (any depth).
 MASKED_BENCH_KEYS = {"solve_wall_s", "stages_wall_ms", "harness",
@@ -145,6 +149,42 @@ def check_export(committed: Path, env: dict, label: str,
     return len(names)
 
 
+def normalise_report(text: str) -> list[tuple[str, ...]]:
+    """Whitespace-split rows of a ``report_all`` printout, with the
+    host column masked in the Table 3 section only."""
+    masked = MASKED_COLUMNS["table3.txt"]
+    rows, section = [], ""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        if index and set(lines[index - 1]) == {"="}:
+            section = line
+        fields = line.split()
+        if section.startswith("Table 3:") and len(fields) > masked:
+            fields = fields[:masked] + fields[masked + 1:]
+        rows.append(tuple(fields))
+    return rows
+
+
+def check_paper_report(env: dict, failures: list[str]) -> None:
+    """Regenerate the paper-profile report and diff it against the
+    committed ``results_paper_profile.txt``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.eval.report_all"],
+        cwd=REPO, env=dict(env, REPRO_PROFILE="paper"), check=True,
+        capture_output=True, text=True,
+    )
+    want = normalise_report((REPO / PAPER_REPORT).read_text())
+    got = normalise_report(proc.stdout)
+    if want != got:
+        failures.append(f"[paper-profile] {PAPER_REPORT}: content diverged")
+        for i, (w, g) in enumerate(zip(want, got)):
+            if w != g:
+                failures.append(f"  line {i + 1}: {w!r} != {g!r}")
+        if len(want) != len(got):
+            failures.append(
+                f"  {len(want)} committed lines, {len(got)} regenerated")
+
+
 def check_fleet(env: dict, failures: list[str]) -> None:
     """``repro fleet`` worker-count parity: the fused trace's
     sim-domain section and the dashboard above the host marker must be
@@ -208,14 +248,11 @@ def main() -> int:
         env["REPRO_BLOCKCOMPILE"] = "off"
         check_export(committed, env, "blockcompile-off", failures)
         del env["REPRO_BLOCKCOMPILE"]
-        # Pass 5: per-block tier without loop fusion.  Same bytes or
-        # the trace fuser's batched charging is changing simulated
-        # behaviour.
-        env["REPRO_TRACEFUSE"] = "off"
-        check_export(committed, env, "tracefuse-off", failures)
-        del env["REPRO_TRACEFUSE"]
-        # Pass 6: fleet worker-count parity, against the warm store.
         env["REPRO_CACHE"] = cache_dir
+        # Pass 5: the paper-profile report, against the warm store
+        # (builds of the apps whose size is profile-independent hit).
+        check_paper_report(env, failures)
+        # Pass 6: fleet worker-count parity, against the warm store.
         check_fleet(env, failures)
     check_bench_analysis(env, failures)
     if failures:
@@ -223,12 +260,12 @@ def main() -> int:
         print("\n".join(failures))
         return 1
     print(f"determinism check passed: {count} files bit-identical across "
-          f"cold-cache, warm-cache ({entries} entries), cache-off, "
-          "blockcompile-off and tracefuse-off exports (table3 host "
-          "wall-clock column and fleet host sections masked), fleet "
-          "sim domain byte-identical across --jobs 1/2, and "
-          "BENCH_analysis.json derived fields unchanged (host timings "
-          "masked)")
+          f"cold-cache, warm-cache ({entries} entries), cache-off and "
+          f"blockcompile-off exports, {PAPER_REPORT} regenerated "
+          "bit-identically (table3 host wall-clock column and fleet "
+          "host sections masked), fleet sim domain byte-identical "
+          "across --jobs 1/2, and BENCH_analysis.json derived fields "
+          "unchanged (host timings masked)")
     return 0
 
 
